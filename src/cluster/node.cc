@@ -13,21 +13,12 @@ namespace cluster {
 
 namespace {
 
-// Trailer appended to every persisted chunk: a payload checksum + a
-// magic word, so a restarted node never trusts a torn or truncated
-// chunk file (it is simply not loaded, and scrub rebuilds it). The
-// magic doubles as the algorithm id: "DIALGA1" chunks carry FNV-1a
-// sums (pre-CRC generations), "DIALGA2" chunks carry CRC-32C. New
-// chunks persist with the magic matching their in-memory algo; both
-// generations load.
-constexpr std::uint64_t kChunkMagicFnv = 0x31414741'4c414944ull;  // "DIALGA1"
-constexpr std::uint64_t kChunkMagicCrc = 0x32414741'4c414944ull;  // "DIALGA2"
+// Trailer appended to every persisted chunk: the payload's CRC-32C
+// (zero-extended to u64) + the "DIALGA2" magic, so a restarted node
+// never trusts a torn, truncated or foreign chunk file — any other
+// magic is simply not loaded, and scrub rebuilds the chunk.
+constexpr std::uint64_t kChunkMagic = 0x32414741'4c414944ull;  // "DIALGA2"
 constexpr std::size_t kTrailerBytes = 16;
-
-std::uint64_t ChunkSum(integrity::ChecksumAlgo algo, const std::byte* p,
-                       std::size_t n) {
-  return integrity::Checksum(algo, p, n);
-}
 
 void PutTrailerU64(std::vector<std::byte>* out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -110,22 +101,15 @@ void Node::LoadDir() {
     const std::size_t payload = raw.size() - kTrailerBytes;
     const std::uint64_t sum = GetTrailerU64(raw.data() + payload);
     const std::uint64_t magic = GetTrailerU64(raw.data() + payload + 8);
-    integrity::ChecksumAlgo algo;
-    if (magic == kChunkMagicFnv) {
-      algo = integrity::ChecksumAlgo::kFnv1a;
-    } else if (magic == kChunkMagicCrc) {
-      algo = integrity::ChecksumAlgo::kCrc32c;
-    } else {
-      continue;  // torn trailer / foreign file
-    }
+    if (magic != kChunkMagic) continue;  // torn trailer / foreign file
     integrity::Metrics::Get().verify("cluster");
-    if (ChunkSum(algo, raw.data(), payload) != sum) {
+    if (integrity::Crc32c(raw.data(), payload) != sum) {
       integrity::Metrics::Get().corrupt("cluster");
       continue;  // bit rot
     }
     raw.resize(payload);
     std::lock_guard<std::mutex> lk(mu_);
-    chunks_[{stripe, shard}] = Chunk{std::move(raw), sum, algo};
+    chunks_[{stripe, shard}] = Chunk{std::move(raw), sum};
   }
 }
 
@@ -134,9 +118,7 @@ bool Node::PersistChunk(std::uint64_t stripe, std::uint32_t shard,
   if (cfg_.data_dir.empty()) return true;
   std::vector<std::byte> out = c.bytes;
   PutTrailerU64(&out, c.sum);
-  PutTrailerU64(&out, c.algo == integrity::ChecksumAlgo::kFnv1a
-                          ? kChunkMagicFnv
-                          : kChunkMagicCrc);
+  PutTrailerU64(&out, kChunkMagic);
   aio::Transfer xfer(aio::SelectBackend(aio::ModeFromEnv()));
   return aio::WriteFileDurable(xfer, ChunkPath(stripe, shard), out).ok();
 }
@@ -144,8 +126,7 @@ bool Node::PersistChunk(std::uint64_t stripe, std::uint32_t shard,
 bool Node::PutChunk(std::uint64_t stripe, std::uint32_t shard,
                     std::vector<std::byte> bytes) {
   Chunk c;
-  c.algo = integrity::kDefaultAlgo;
-  c.sum = ChunkSum(c.algo, bytes.data(), bytes.size());
+  c.sum = integrity::Crc32c(bytes.data(), bytes.size());
   c.bytes = std::move(bytes);
   const bool persisted = PersistChunk(stripe, shard, c);
   std::lock_guard<std::mutex> lk(mu_);
@@ -160,7 +141,7 @@ WireStatus Node::FetchChunk(std::uint64_t stripe, std::uint32_t shard,
   if (it == chunks_.end()) return WireStatus::kNotFound;
   const Chunk& c = it->second;
   integrity::Metrics::Get().verify("cluster");
-  if (ChunkSum(c.algo, c.bytes.data(), c.bytes.size()) != c.sum) {
+  if (integrity::Crc32c(c.bytes.data(), c.bytes.size()) != c.sum) {
     integrity::Metrics::Get().corrupt("cluster");
     return WireStatus::kCorrupt;
   }

@@ -73,11 +73,7 @@ class Node {
  private:
   struct Chunk {
     std::vector<std::byte> bytes;
-    std::uint64_t sum = 0;
-    /// Algorithm `sum` was computed with. New chunks seal with
-    /// kDefaultAlgo; chunks reloaded from a legacy "DIALGA1" trailer
-    /// keep FNV-1a so their stored sums stay meaningful.
-    integrity::ChecksumAlgo algo = integrity::kDefaultAlgo;
+    std::uint64_t sum = 0;  ///< CRC-32C of `bytes`, zero-extended
   };
   using Key = std::pair<std::uint64_t, std::uint32_t>;
 

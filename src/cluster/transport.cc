@@ -195,19 +195,4 @@ int LoopbackTransport::call(NodeId from, NodeId to, const Frame& req,
   return 0;
 }
 
-SocketTransport::SocketTransport(std::vector<Endpoint> peers)
-    : peers_(std::move(peers)) {
-  RegisterClusterMetrics();
-}
-
-int SocketTransport::call(NodeId /*from*/, NodeId /*to*/,
-                          const Frame& /*req*/, Frame* /*resp*/) {
-  // Stub: the dial/accept loop is not implemented yet. Frames are
-  // already the byte format a socket would carry (EncodeFrame /
-  // DecodeFrame); when this grows a real event loop it slots in behind
-  // the same interface with no caller changes.
-  RpcErrors().inc();
-  return ENOTSUP;
-}
-
 }  // namespace cluster

@@ -2,23 +2,18 @@
 //
 // Transport::call is a synchronous RPC: the request frame is
 // serialized, delivered to the destination node, and the response
-// frame comes back — or an errno explains why not. Two
-// implementations:
+// frame comes back — or an errno explains why not. The coordinator and
+// nodes are written against this interface only, so a network
+// transport would slot in without caller changes.
 //
-//   * LoopbackTransport — in-process, deterministic, and
-//     fault-injectable: every call runs through the real wire codec
-//     (serialize -> parse on both legs, so the RPC paths exercise the
-//     exact byte format a socket would carry), consults the
-//     cluster.send / cluster.recv fault sites (per-node spellings
-//     n<id>.cluster.send / n<id>.cluster.recv first), and honors
-//     kill/partition state for chaos schedules. Calls execute on the
-//     caller's thread, so a seeded schedule replays exactly.
-//
-//   * SocketTransport — the TCP stub behind the same interface. It
-//     carries the identical frame bytes; connect/accept plumbing is
-//     not wired up yet, so every call fails with ENOTSUP. It exists so
-//     the coordinator/node code is already written against the
-//     interface a real network needs.
+// LoopbackTransport is the implementation: in-process, deterministic,
+// and fault-injectable. Every call runs through the real wire codec
+// (serialize -> parse on both legs, so the RPC paths exercise the exact
+// byte format a socket would carry), consults the cluster.send /
+// cluster.recv fault sites (per-node spellings n<id>.cluster.send /
+// n<id>.cluster.recv first), and honors kill/partition state for chaos
+// schedules. Calls execute on the caller's thread, so a seeded schedule
+// replays exactly.
 #pragma once
 
 #include <cstdint>
@@ -80,28 +75,6 @@ class LoopbackTransport : public Transport {
   std::map<NodeId, Handler> handlers_;
   std::set<NodeId> down_;
   std::set<std::pair<NodeId, NodeId>> blocked_links_;  ///< normalized a<b
-};
-
-/// TCP transport stub: same interface, same frame bytes, no sockets
-/// yet. Every call returns ENOTSUP; name() reports the configured
-/// address so callers can log what they would have dialed.
-class SocketTransport : public Transport {
- public:
-  struct Endpoint {
-    NodeId id = 0;
-    std::string host;
-    std::uint16_t port = 0;
-  };
-
-  explicit SocketTransport(std::vector<Endpoint> peers);
-
-  int call(NodeId from, NodeId to, const Frame& req, Frame* resp) override;
-  std::string name() const override { return "socket"; }
-
-  const std::vector<Endpoint>& peers() const { return peers_; }
-
- private:
-  std::vector<Endpoint> peers_;
 };
 
 /// Eagerly registers every dialga_cluster_* metric family (zero-valued)

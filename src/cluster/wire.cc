@@ -127,7 +127,7 @@ std::vector<std::byte> EncodeFrame(const Frame& f) {
   }
 
   std::vector<std::byte> out;
-  out.reserve(12 + body.size());
+  out.reserve(kWireHeaderBytes + body.size());
   PutU16(&out, kWireMagic);
   out.push_back(static_cast<std::byte>(kWireVersion));
   out.push_back(static_cast<std::byte>(f.type));
@@ -139,12 +139,14 @@ std::vector<std::byte> EncodeFrame(const Frame& f) {
 
 ParseStatus DecodeFrame(std::span<const std::byte> in, Frame* out,
                         std::size_t* consumed) {
+  // Magic, version, type and length (the first 8 bytes) are judged as
+  // soon as they arrive, so a hostile length is rejected before the
+  // rest of the header.
   if (in.size() < 8) return ParseStatus::kTruncated;
   const std::uint16_t magic = static_cast<std::uint16_t>(in[0]) |
                               (static_cast<std::uint16_t>(in[1]) << 8);
   if (magic != kWireMagic) return ParseStatus::kMalformed;
-  const std::uint8_t version = static_cast<std::uint8_t>(in[2]);
-  if (version != kWireVersion && version != kWireVersionLegacy) {
+  if (static_cast<std::uint8_t>(in[2]) != kWireVersion) {
     return ParseStatus::kMalformed;
   }
   const std::uint8_t type = static_cast<std::uint8_t>(in[3]);
@@ -154,23 +156,22 @@ ParseStatus DecodeFrame(std::span<const std::byte> in, Frame* out,
     body_len |= static_cast<std::uint32_t>(in[4 + i]) << (8 * i);
   }
   if (body_len > kMaxWireBody) return ParseStatus::kMalformed;
-  // Version >= 2 carries a body CRC-32C after the length; verify it
-  // before any field is trusted — a flipped payload bit (even inside a
-  // chunk's bytes) is kMalformed here, not corrupt data downstream.
-  const std::size_t header = version >= 2 ? 12 : 8;
-  if (in.size() < header) return ParseStatus::kTruncated;
-  if (in.size() - header < body_len) return ParseStatus::kTruncated;
-  if (version >= 2) {
-    std::uint32_t want = 0;
-    for (int i = 0; i < 4; ++i) {
-      want |= static_cast<std::uint32_t>(in[8 + i]) << (8 * i);
-    }
-    if (integrity::Crc32c(in.data() + header, body_len) != want) {
-      return ParseStatus::kMalformed;
-    }
+  if (in.size() < kWireHeaderBytes ||
+      in.size() - kWireHeaderBytes < body_len) {
+    return ParseStatus::kTruncated;
+  }
+  std::uint32_t want = 0;
+  for (int i = 0; i < 4; ++i) {
+    want |= static_cast<std::uint32_t>(in[8 + i]) << (8 * i);
+  }
+  // Verify the body CRC-32C before any field is trusted — a flipped
+  // payload bit (even inside a chunk's bytes) is kMalformed here, not
+  // corrupt data downstream.
+  if (integrity::Crc32c(in.data() + kWireHeaderBytes, body_len) != want) {
+    return ParseStatus::kMalformed;
   }
 
-  Reader r(in.subspan(header, body_len));
+  Reader r(in.subspan(kWireHeaderBytes, body_len));
   Frame f;
   f.type = static_cast<MsgType>(type);
   std::uint32_t status = 0;
@@ -218,7 +219,9 @@ ParseStatus DecodeFrame(std::span<const std::byte> in, Frame* out,
   if (!r.done()) return ParseStatus::kMalformed;  // trailing garbage
 
   *out = std::move(f);
-  if (consumed != nullptr) *consumed = header + static_cast<std::size_t>(body_len);
+  if (consumed != nullptr) {
+    *consumed = kWireHeaderBytes + static_cast<std::size_t>(body_len);
+  }
   return ParseStatus::kOk;
 }
 

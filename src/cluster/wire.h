@@ -7,14 +7,13 @@
 // Frame layout (all integers little-endian):
 //
 //   magic   u16   0xDC17
-//   version u8    kWireVersion — bumped on incompatible change
+//   version u8    kWireVersion (2) — bumped on incompatible change;
+//                 any other version is kMalformed (fail closed)
 //   type    u8    MsgType
-//   length  u32   body byte count (bounded by kMaxBody)
-//   bodysum u32   CRC-32C of the body (version >= 2 only): a frame
-//                 whose payload rotted in flight is kMalformed at the
-//                 receiver, never silently-wrong chunk bytes. Version-1
-//                 frames (no sum) still parse, so mixed-version
-//                 clusters interoperate.
+//   length  u32   body byte count (bounded by kMaxWireBody)
+//   bodysum u32   CRC-32C of the body: a frame whose payload rotted in
+//                 flight is kMalformed at the receiver, never
+//                 silently-wrong chunk bytes
 //   body:
 //     seq      u64   caller-chosen correlation id (echoed in responses)
 //     stripe   u64
@@ -43,9 +42,8 @@ namespace cluster {
 
 inline constexpr std::uint16_t kWireMagic = 0xDC17;
 inline constexpr std::uint8_t kWireVersion = 2;
-/// Pre-checksum frame format (8-byte header, no bodysum); still
-/// decoded for compatibility.
-inline constexpr std::uint8_t kWireVersionLegacy = 1;
+/// Header bytes before the body: magic, version, type, length, bodysum.
+inline constexpr std::size_t kWireHeaderBytes = 12;
 /// Hard parser bounds: shards per stripe, bytes per block, bytes per
 /// frame body. A frame claiming more is malformed, not a bigger
 /// allocation.

@@ -13,6 +13,11 @@ namespace {
 constexpr std::size_t kMinDistance = 4;
 constexpr std::size_t kMaxDistance = 256;
 
+/// The distance search starts at d = k (section 4.1.2), clamped.
+std::size_t SeedDistance(std::size_t k) {
+  return std::clamp(k, kMinDistance, kMaxDistance);
+}
+
 /// Registry mirror of the coordinator's sampling loop: counters for
 /// windows taken and strategy flips, gauges for the last window's PMU
 /// deltas and the strategy currently in force. Gauges are last-write-
@@ -71,8 +76,9 @@ Coordinator::Coordinator(const PatternInfo& pattern, const Features& features,
       feat_(features),
       thr_(thresholds),
       pm_buffer_bytes_(pm_buffer_bytes),
-      climber_(std::clamp(pattern.k, kMinDistance, kMaxDistance),
-               kMinDistance, kMaxDistance) {
+      climber_(SeedDistance(pattern.k), kMinDistance, kMaxDistance) {
+  // UpdateBaseline takes the minimum of a non-empty window.
+  thr_.baseline_window = std::max<std::size_t>(1, thr_.baseline_window);
   // Register the selector/plan-cache metric families even when learned
   // selection never engages, so a scrape always sees them (at zero).
   TouchSelectorMetrics();
@@ -131,33 +137,18 @@ void Coordinator::update_pattern(const PatternInfo& pattern) {
     // from the new shape's seed rather than let it finish climbing a
     // stale landscape. A converged distance is kept — the fluctuation
     // restart in sample() re-opens it if throughput actually moves.
-    climber_.restart(std::clamp(pattern.k, kMinDistance, kMaxDistance));
+    climber_.restart(SeedDistance(pattern.k));
   }
   decide();
 }
 
-double Coordinator::UpdateBaseline(std::vector<double>& ring,
-                                   std::size_t& next, std::size_t& count,
-                                   double current_min,
+double Coordinator::UpdateBaseline(std::deque<double>& window,
                                    double observation) const {
-  if (thr_.baseline_window == 0) {
-    // Legacy lifetime minimum, kept selectable for comparison runs.
-    return current_min < 0.0 ? observation
-                             : std::min(current_min, observation);
-  }
-  if (ring.size() != thr_.baseline_window) {
-    ring.assign(thr_.baseline_window, 0.0);
-    next = 0;
-    count = 0;
-  }
-  ring[next] = observation;
-  next = (next + 1) % ring.size();
-  count = std::min(count + 1, ring.size());
+  window.push_back(observation);
+  if (window.size() > thr_.baseline_window) window.pop_front();
   // O(window) scan at the 1 kHz sampling rate is negligible next to
   // the window's worth of simulated memory traffic.
-  double min = ring[0];
-  for (std::size_t i = 1; i < count; ++i) min = std::min(min, ring[i]);
-  return min;
+  return *std::min_element(window.begin(), window.end());
 }
 
 const Strategy& Coordinator::strategy(const simmem::MemorySystem& mem) {
@@ -194,14 +185,8 @@ void Coordinator::sample(const simmem::MemorySystem& mem, double now) {
   // low-pressure phase). A lifetime minimum would let one anomalously
   // quiet warm-up window keep contention_/inefficient_ asserted for
   // the rest of the run; the sliding window forgets it.
-  baseline_latency_ns_ =
-      UpdateBaseline(baseline_lat_ring_, baseline_lat_next_,
-                     baseline_lat_count_, baseline_latency_ns_,
-                     window_latency);
-  baseline_useless_ =
-      UpdateBaseline(baseline_useless_ring_, baseline_useless_next_,
-                     baseline_useless_count_, baseline_useless_,
-                     window_useless);
+  baseline_latency_ns_ = UpdateBaseline(baseline_lat_window_, window_latency);
+  baseline_useless_ = UpdateBaseline(baseline_useless_window_, window_useless);
 
   contention_ =
       window_latency > thr_.latency_contention_ratio * baseline_latency_ns_;
@@ -258,53 +243,55 @@ void Coordinator::sample(const simmem::MemorySystem& mem, double now) {
 
 void Coordinator::decide() {
   const Strategy prev = strat_;
-  // Publish the decision on every exit path: flip counter when the
-  // strategy changed, gauges for what is now in force.
-  struct Publish {
-    const Strategy& prev;
-    const Strategy& cur;
-    ~Publish() {
-      auto& m = CoordMetrics::Get();
-      if (!(prev == cur)) m.strategy_flips.inc();
-      m.hw_prefetch.set(cur.hw_prefetch ? 1.0 : 0.0);
-      m.sw_distance.set(static_cast<double>(cur.sw_distance));
-    }
-  } publish{prev, strat_};
+  strat_ = DecideStrategy(
+      pattern_, feat_, thr_, pm_buffer_bytes_,
+      feat_.adaptive ? climber_.current() : SeedDistance(pattern_.k),
+      contention_, inefficient_, sel_);
+  // Publish the decision: flip counter when the strategy changed,
+  // gauges for what is now in force.
+  auto& m = CoordMetrics::Get();
+  if (!(prev == strat_)) m.strategy_flips.inc();
+  m.hw_prefetch.set(strat_.hw_prefetch ? 1.0 : 0.0);
+  m.sw_distance.set(static_cast<double>(strat_.sw_distance));
+}
 
+Strategy DecideStrategy(const PatternInfo& pattern, const Features& feat,
+                        const Thresholds& thr, std::size_t pm_buffer_bytes,
+                        std::size_t distance, bool contention,
+                        bool inefficient, const SelectorDecision& sel) {
   Strategy s;
 
-  const bool selector_drives = sel_.valid && !sel_.fallback;
+  const bool selector_drives = sel.valid && !sel.fallback;
 
   // --- Plan-cache replay ----------------------------------------------
   // A cached plan is a full converged Strategy; replay it verbatim so a
   // warm process lands on the known-good configuration on the first
   // stripe. Only the feature gates still apply.
-  if (selector_drives && sel_.from_cache) {
-    s = sel_.cached;
-    if (!feat_.hw_prefetch) s.hw_prefetch = false;
-    if (!feat_.sw_prefetch) {
+  if (selector_drives && sel.from_cache) {
+    s = sel.cached;
+    if (!feat.hw_prefetch) s.hw_prefetch = false;
+    if (!feat.sw_prefetch) {
       s.sw_distance = 0;
       s.xpline_first_distance = 0;
       s.sw_tail_offset = 0;
     }
-    strat_ = s;
-    return;
+    return s;
   }
 
   // --- Hardware prefetcher -------------------------------------------
-  if (!feat_.hw_prefetch) {
+  if (!feat.hw_prefetch) {
     s.hw_prefetch = false;
   } else if (selector_drives) {
     // Learned prediction replaces the threshold ladder.
-    s.hw_prefetch = sel_.hw_prefetch;
-  } else if (pattern_.k > thr_.wide_stripe_k) {
+    s.hw_prefetch = sel.hw_prefetch;
+  } else if (pattern.k > thr.wide_stripe_k) {
     // Wide stripes exceed the streamer's tracking capacity; it loses
     // confidence and shuts down on its own — no need to pay the
     // shuffle overhead to manage it.
     s.hw_prefetch = true;
-  } else if (pattern_.nthreads > thr_.thread_threshold) {
+  } else if (pattern.nthreads > thr.thread_threshold) {
     s.hw_prefetch = false;  // Eq. 1 says the read buffer will thrash
-  } else if (contention_ && inefficient_) {
+  } else if (contention && inefficient) {
     s.hw_prefetch = false;
   } else {
     // Narrow stripes / small blocks prefetch inefficiently, but the
@@ -313,13 +300,10 @@ void Coordinator::decide() {
   }
 
   // --- Software prefetch distance -------------------------------------
-  if (feat_.sw_prefetch) {
-    std::size_t d = feat_.adaptive
-                        ? climber_.current()
-                        : std::clamp(pattern_.k, kMinDistance, kMaxDistance);
-    if (selector_drives) d = sel_.sw_distance;
+  if (feat.sw_prefetch) {
+    const std::size_t d = selector_drives ? sel.sw_distance : distance;
     const bool high_pressure =
-        pattern_.nthreads > thr_.thread_threshold || contention_;
+        pattern.nthreads > thr.thread_threshold || contention;
     // 4 KiB-aligned blocks on trackable stripes: the streamer covers the
     // whole block at peak efficiency and never crosses the page, so
     // software prefetching only adds issue overhead and traffic
@@ -327,35 +311,41 @@ void Coordinator::decide() {
     // A learned prediction expresses "hw only" as distance 0 instead.
     const bool streamer_at_peak =
         !selector_drives && s.hw_prefetch &&
-        pattern_.k <= thr_.wide_stripe_k &&
-        pattern_.block_size >= thr_.large_block_bytes &&
-        pattern_.block_size % thr_.large_block_bytes == 0;
+        pattern.k <= thr.wide_stripe_k &&
+        pattern.block_size >= thr.large_block_bytes &&
+        pattern.block_size % thr.large_block_bytes == 0;
     if ((streamer_at_peak && !high_pressure) ||
         (selector_drives && d == 0)) {
-      strat_ = s;  // hw-only strategy
-      return;
+      return s;  // hw-only strategy
     }
     // Blocks beyond 4 KiB that are not 4 KiB multiples: the streamer
     // covers the aligned prefix; prefetch only the unaligned tail.
-    if (s.hw_prefetch && pattern_.k <= thr_.wide_stripe_k &&
-        pattern_.block_size > thr_.large_block_bytes && !high_pressure) {
+    if (s.hw_prefetch && pattern.k <= thr.wide_stripe_k &&
+        pattern.block_size > thr.large_block_bytes && !high_pressure) {
       s.sw_tail_offset =
-          pattern_.block_size / thr_.large_block_bytes *
-          thr_.large_block_bytes;
+          pattern.block_size / thr.large_block_bytes * thr.large_block_bytes;
     }
-    if (feat_.buffer_friendly && high_pressure) {
-      d = std::min(d, MaxDistanceForBuffer(pattern_.nthreads, pattern_.k,
-                                           pattern_.m, pm_buffer_bytes_));
+    s.sw_distance = d;
+    if (feat.buffer_friendly && high_pressure) {
+      s.sw_distance = std::min(d, MaxDistanceForBuffer(pattern.nthreads,
+                                                       pattern.k, pattern.m,
+                                                       pm_buffer_bytes));
       s.widen_to_xpline = true;
-    } else if (feat_.buffer_friendly) {
+    } else if (feat.buffer_friendly) {
       // Low pressure: pull XPLine-opening lines in earlier (initially
       // k+4, then tracking the adapted distance).
       s.xpline_first_distance = d + 4;
     }
-    s.sw_distance = d;
   }
+  return s;
+}
 
-  strat_ = s;
+Strategy InitialStrategy(const PatternInfo& pattern, const Features& features,
+                         const Thresholds& thresholds,
+                         std::size_t pm_buffer_bytes) {
+  return DecideStrategy(pattern, features, thresholds, pm_buffer_bytes,
+                        SeedDistance(pattern.k), /*contention=*/false,
+                        /*inefficient=*/false, SelectorDecision{});
 }
 
 }  // namespace dialga

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -58,6 +59,24 @@ struct WindowRecord {
   std::uint64_t strategy_key = 0;
   DecisionSource source = DecisionSource::kHeuristic;
 };
+
+/// The strategy ladder of section 4.1 as a pure function of the static
+/// pattern and configuration, the current software-prefetch distance
+/// (the hill climber's, or the d = k seed), the sampled pressure bits,
+/// and the learned selector's decision (default: none). The coordinator
+/// publishes what it returns; the host face and the static snapshot
+/// plans call it directly and publish nothing.
+Strategy DecideStrategy(const PatternInfo& pattern, const Features& features,
+                        const Thresholds& thresholds,
+                        std::size_t pm_buffer_bytes, std::size_t distance,
+                        bool contention, bool inefficient,
+                        const SelectorDecision& selector);
+
+/// DecideStrategy before any sampling: seed distance, no pressure, no
+/// selector — Coordinator::initial_strategy() without a plan cache.
+Strategy InitialStrategy(const PatternInfo& pattern, const Features& features,
+                         const Thresholds& thresholds,
+                         std::size_t pm_buffer_bytes);
 
 class Coordinator {
  public:
@@ -125,12 +144,9 @@ class Coordinator {
   /// Ask the selector for the next window's decision (no-op without
   /// one); refreshes sel_ and last_source_.
   void consult_selector();
-  /// Push a window's observation into a baseline ring and return the
-  /// minimum over the retained window (lifetime minimum when
-  /// thr_.baseline_window == 0).
-  double UpdateBaseline(std::vector<double>& ring, std::size_t& next,
-                        std::size_t& count, double current_min,
-                        double observation) const;
+  /// Push a window's observation into a baseline window (the last
+  /// thr_.baseline_window samples) and return its minimum.
+  double UpdateBaseline(std::deque<double>& window, double observation) const;
 
   PatternInfo pattern_;
   Features feat_;
@@ -145,16 +161,12 @@ class Coordinator {
   simmem::PmuCounters last_pmu_;
   std::size_t samples_ = 0;
   /// Low-pressure baselines: minimum over the last baseline_window
-  /// samples (rings below), not a lifetime minimum — see
+  /// samples (windows below), not a lifetime minimum — see
   /// Thresholds::baseline_window for why.
   double baseline_latency_ns_ = -1.0;
   double baseline_useless_ = -1.0;
-  std::vector<double> baseline_lat_ring_;
-  std::size_t baseline_lat_next_ = 0;
-  std::size_t baseline_lat_count_ = 0;
-  std::vector<double> baseline_useless_ring_;
-  std::size_t baseline_useless_next_ = 0;
-  std::size_t baseline_useless_count_ = 0;
+  std::deque<double> baseline_lat_window_;
+  std::deque<double> baseline_useless_window_;
   double last_window_gbps_ = -1.0;
   bool contention_ = false;
   bool inefficient_ = false;

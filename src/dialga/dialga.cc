@@ -32,14 +32,10 @@ const ec::EncodePlan& DialgaPlanProvider::next_plan(
 
 DialgaCodec::DialgaCodec(std::size_t k, std::size_t m, ec::SimdWidth simd,
                          Features features, Thresholds thresholds)
-    : inner_(k, m, simd), features_(features), thresholds_(thresholds) {}
-
-DialgaCodec::~DialgaCodec() {
-  // Graceful-shutdown flush of host-face plan memoizations.
-  if (!selector_opts_.plan_cache_path.empty() && selector_opts_.learn &&
-      host_cache_.dirty()) {
-    host_cache_.flush(selector_opts_.plan_cache_path);
-  }
+    : inner_(k, m, simd), features_(features), thresholds_(thresholds) {
+  // The host face never builds a Coordinator, so register the
+  // selector/plan-cache families here: a scrape sees them at zero.
+  TouchSelectorMetrics();
 }
 
 void DialgaCodec::set_selector_options(const SelectorOptions& opts) {
@@ -48,9 +44,12 @@ void DialgaCodec::set_selector_options(const SelectorOptions& opts) {
   host_cache_loaded_ = false;
 }
 
-ec::HostKernelOptions DialgaCodec::host_options(std::size_t block_size) const {
+Strategy DialgaCodec::host_strategy(std::size_t block_size) const {
   const PatternInfo pattern{params().k, params().m, block_size, 1};
   if (selector_opts_.enabled) {
+    // Read-only plan-cache replay: only the learning path (a live
+    // Coordinator's selector) commits entries, each with a measured
+    // reward; the host face never writes the file.
     WindowFeatures f;
     f.k = pattern.k;
     f.m = pattern.m;
@@ -64,49 +63,45 @@ ec::HostKernelOptions DialgaCodec::host_options(std::size_t block_size) const {
       }
     }
     if (const PlanCache::Entry* e = host_cache_.lookup(f.shape_key())) {
-      return Strategy::from_key(e->strategy_key).to_host_options();
+      return Strategy::from_key(e->strategy_key);
     }
-    const Coordinator coord(pattern, features_, thresholds_, 0);
-    const Strategy s = coord.initial_strategy();
-    if (selector_opts_.learn) host_cache_.insert(f.shape_key(), {s.key(), 0.0});
-    return s.to_host_options();
   }
-  // Host execution takes the coordinator's initial strategy for this
-  // pattern: its software-prefetch distance feeds the fused driver's
-  // branchless prefetch-pointer array (output stays bit-identical to
-  // plain ISA-L — scheduling only moves cache fills).
-  const Coordinator coord(pattern, features_, thresholds_, 0);
-  return coord.initial_strategy().to_host_options();
+  // Otherwise the coordinator's initial strategy for this pattern: its
+  // software-prefetch distance feeds the fused driver's branchless
+  // prefetch-pointer array (output stays bit-identical to plain ISA-L —
+  // scheduling only moves cache fills).
+  return InitialStrategy(pattern, features_, thresholds_, 0);
 }
 
 void DialgaCodec::encode(std::size_t block_size,
                          std::span<const std::byte* const> data,
                          std::span<std::byte* const> parity) const {
-  inner_.encode_with(block_size, data, parity, host_options(block_size));
+  inner_.encode_with(block_size, data, parity,
+                     host_strategy(block_size).to_host_options());
 }
 
 bool DialgaCodec::decode(std::size_t block_size,
                          std::span<std::byte* const> blocks,
                          std::span<const std::size_t> erasures) const {
   return inner_.decode_with(block_size, blocks, erasures,
-                            host_options(block_size));
+                            host_strategy(block_size).to_host_options());
 }
 
 ec::EncodePlan DialgaCodec::encode_plan(
     std::size_t block_size, const simmem::ComputeCost& cost) const {
   const PatternInfo pattern{params().k, params().m, block_size, 1};
-  const Coordinator coord(pattern, features_, thresholds_, 0);
   return inner_.encode_plan_with(
-      block_size, cost, coord.initial_strategy().to_plan_options());
+      block_size, cost,
+      InitialStrategy(pattern, features_, thresholds_, 0).to_plan_options());
 }
 
 ec::EncodePlan DialgaCodec::decode_plan(
     std::size_t block_size, const simmem::ComputeCost& cost,
     std::span<const std::size_t> erasures) const {
   const PatternInfo pattern{params().k, params().m, block_size, 1};
-  const Coordinator coord(pattern, features_, thresholds_, 0);
   return inner_.decode_plan_with(
-      block_size, cost, erasures, coord.initial_strategy().to_plan_options());
+      block_size, cost, erasures,
+      InitialStrategy(pattern, features_, thresholds_, 0).to_plan_options());
 }
 
 std::unique_ptr<DialgaPlanProvider> DialgaCodec::make_encode_provider(

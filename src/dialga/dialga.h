@@ -71,12 +71,10 @@ class DialgaCodec : public ec::Codec {
               ec::SimdWidth simd = ec::SimdWidth::kAvx512,
               Features features = Features::all(),
               Thresholds thresholds = Thresholds{});
-  ~DialgaCodec() override;
 
   /// Enable learned strategy selection: providers built afterwards get
-  /// a StrategySelector, and the host encode/decode face consults (and
-  /// populates) the persistent plan cache through a shape-keyed memo
-  /// instead of re-deriving the initial strategy per call.
+  /// a StrategySelector, and the host encode/decode face replays plans
+  /// from the persistent plan cache (loaded once, never written).
   void set_selector_options(const SelectorOptions& opts);
   const SelectorOptions& selector_options() const { return selector_opts_; }
 
@@ -109,12 +107,13 @@ class DialgaCodec : public ec::Codec {
   const Thresholds& thresholds() const { return thresholds_; }
   const ec::IsalCodec& inner() const { return inner_; }
 
- private:
-  /// Host-face strategy for this block size: plan-cache hit when the
-  /// selector is on (memoized under host_mu_), the coordinator's
-  /// initial strategy otherwise.
-  ec::HostKernelOptions host_options(std::size_t block_size) const;
+  /// Strategy encode()/decode() run for this block size: the plan-cache
+  /// entry for the shape when the selector is on and has one, the
+  /// coordinator's initial strategy otherwise. Publishes no coordinator
+  /// metrics.
+  Strategy host_strategy(std::size_t block_size) const;
 
+ private:
   ec::IsalCodec inner_;
   Features features_;
   Thresholds thresholds_;

@@ -106,7 +106,7 @@ struct Thresholds {
   /// lifetime minima, which made one anomalously quiet warm-up window
   /// pin contention_/inefficient_ on for the process lifetime; a
   /// sliding window lets them recover once the quiet sample ages out.
-  /// 0 restores the legacy lifetime-minimum behavior.
+  /// The coordinator clamps it to at least 1.
   std::size_t baseline_window = 64;
 };
 

@@ -8,32 +8,6 @@
 
 namespace integrity {
 
-const char* algo_name(ChecksumAlgo algo) {
-  switch (algo) {
-    case ChecksumAlgo::kFnv1a:
-      return "fnv1a";
-    case ChecksumAlgo::kCrc32c:
-      return "crc32c";
-  }
-  return "unknown";
-}
-
-std::optional<ChecksumAlgo> parse_algo(std::string_view name) {
-  if (name == "fnv1a") return ChecksumAlgo::kFnv1a;
-  if (name == "crc32c") return ChecksumAlgo::kCrc32c;
-  return std::nullopt;
-}
-
-std::uint64_t Fnv1a(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 namespace {
 
 /// CRC-32C slicing-by-8 tables (Castagnoli polynomial 0x1EDC6F41,
@@ -129,22 +103,11 @@ bool Crc32cUsesHardware() { return WantHardware(); }
 
 std::uint32_t Crc32c(const void* data, std::size_t n) {
   if (WantHardware()) {
-    Metrics::Get().checksum_bytes(ChecksumAlgo::kCrc32c, true, n);
+    Metrics::Get().checksum_bytes(true, n);
     return Crc32cHardware(data, n);
   }
-  Metrics::Get().checksum_bytes(ChecksumAlgo::kCrc32c, false, n);
+  Metrics::Get().checksum_bytes(false, n);
   return Crc32cSoftware(data, n);
-}
-
-std::uint64_t Checksum(ChecksumAlgo algo, const void* data, std::size_t n) {
-  switch (algo) {
-    case ChecksumAlgo::kFnv1a:
-      Metrics::Get().checksum_bytes(ChecksumAlgo::kFnv1a, false, n);
-      return Fnv1a(data, n);
-    case ChecksumAlgo::kCrc32c:
-      return static_cast<std::uint64_t>(Crc32c(data, n));
-  }
-  return 0;
 }
 
 struct Metrics::Impl {
@@ -155,8 +118,7 @@ struct Metrics::Impl {
   obs::Counter* heal_ok[3];
   obs::Counter* heal_failed[3];
   obs::Counter* quarantine[3];
-  // [algo: fnv1a=0, crc32c=1][impl: sw=0, hw=1]
-  obs::Counter* bytes[2][2];
+  obs::Counter* bytes[2];  // [impl: sw=0, hw=1]
 
   static int LayerIndex(const char* layer) {
     if (std::strcmp(layer, "shard") == 0) return 0;
@@ -186,15 +148,11 @@ Metrics::Metrics() : impl_(new Impl) {
         "dialga_integrity_quarantine_total", {{"layer", layer}},
         "Stripes/shards quarantined after exceeding the heal-retry cap");
   }
-  const char* algos[2] = {"fnv1a", "crc32c"};
   const char* impls[2] = {"sw", "hw"};
-  for (int a = 0; a < 2; ++a) {
-    for (int im = 0; im < 2; ++im) {
-      impl_->bytes[a][im] = &reg.counter(
-          "dialga_integrity_checksum_bytes_total",
-          {{"algo", algos[a]}, {"impl", impls[im]}},
-          "Bytes hashed per checksum algorithm and implementation");
-    }
+  for (int im = 0; im < 2; ++im) {
+    impl_->bytes[im] = &reg.counter("dialga_integrity_checksum_bytes_total",
+                                    {{"impl", impls[im]}},
+                                    "Bytes hashed per CRC-32C implementation");
   }
 }
 
@@ -220,9 +178,8 @@ void Metrics::quarantine(const char* layer, std::uint64_t n) {
   impl_->quarantine[Impl::LayerIndex(layer)]->inc(n);
 }
 
-void Metrics::checksum_bytes(ChecksumAlgo algo, bool hw, std::uint64_t n) {
-  const int a = algo == ChecksumAlgo::kCrc32c ? 1 : 0;
-  impl_->bytes[a][hw ? 1 : 0]->inc(n);
+void Metrics::checksum_bytes(bool hw, std::uint64_t n) {
+  impl_->bytes[hw ? 1 : 0]->inc(n);
 }
 
 }  // namespace integrity

@@ -1,19 +1,15 @@
-// Versioned block checksums with hardware dispatch — the datapath
-// integrity primitive behind verify-on-read. Two algorithms:
+// CRC-32C block checksums with hardware dispatch — the datapath
+// integrity primitive behind verify-on-read, and the only checksum
+// algorithm this code reads or writes. CRC-32C (Castagnoli, the
+// iSCSI/ext4 polynomial) is runtime-dispatched onto the SSE4.2 CRC32
+// instruction when the active gf::IsaLevel implies it, with a
+// slicing-by-8 software path that is bit-identical — DIALGA_ISA=scalar
+// pins the software path, so the CI ISA matrix doubles as a
+// hardware/software differential test.
 //
-//   kFnv1a   the historical scalar FNV-1a 64 — kept so every manifest,
-//            pmpool seal, and cluster chunk written by earlier
-//            generations still verifies and decodes.
-//   kCrc32c  CRC-32C (Castagnoli, the iSCSI/ext4 polynomial), the
-//            default for new writes: runtime-dispatched onto the SSE4.2
-//            CRC32 instruction when the active gf::IsaLevel implies it,
-//            with a slicing-by-8 software path that is bit-identical —
-//            DIALGA_ISA=scalar pins the software path, so the CI ISA
-//            matrix doubles as a hardware/software differential test.
-//
-// Checksums are stored as u64 everywhere (CRC-32C zero-extended), so
-// swapping algorithms never changes any on-disk layout — only the
-// algorithm id recorded next to the table.
+// Stored sums (manifest tables, pmpool seals, chunk trailers) are u64
+// fields holding the CRC zero-extended. Data sealed with any other
+// algorithm fails closed at its format's parser (docs/integrity.md).
 //
 // Dispatch rides the existing gf runtime-dispatch infrastructure
 // rather than a private cpuid probe: levels at or above kAvx2 (every
@@ -24,28 +20,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace integrity {
-
-/// On-disk algorithm ids — serialized into manifests and chunk
-/// trailers; never renumber.
-enum class ChecksumAlgo : std::uint8_t {
-  kFnv1a = 1,
-  kCrc32c = 2,
-};
-
-/// Default algorithm for newly written generations.
-inline constexpr ChecksumAlgo kDefaultAlgo = ChecksumAlgo::kCrc32c;
-
-/// Lower-case wire/manifest name ("fnv1a", "crc32c").
-const char* algo_name(ChecksumAlgo algo);
-/// Parse an algo_name; nullopt for unknown names.
-std::optional<ChecksumAlgo> parse_algo(std::string_view name);
-
-/// FNV-1a 64 over [data, data+n) — the legacy algorithm, scalar only.
-std::uint64_t Fnv1a(const void* data, std::size_t n);
 
 /// CRC-32C, dispatched per the active gf ISA level (see header note).
 std::uint32_t Crc32c(const void* data, std::size_t n);
@@ -60,10 +36,6 @@ bool Crc32cHardwareAvailable();
 
 /// True when a Crc32c() call right now would take the hardware path.
 bool Crc32cUsesHardware();
-
-/// Algorithm-tagged checksum as stored on disk: FNV-1a verbatim,
-/// CRC-32C zero-extended to 64 bits.
-std::uint64_t Checksum(ChecksumAlgo algo, const void* data, std::size_t n);
 
 /// Eagerly registered dialga_integrity_* metrics. Every family/label
 /// combination is created at first Get(), so exporters (and the CI
@@ -82,8 +54,8 @@ struct Metrics {
   /// dialga_integrity_quarantine_total{layer}: stripes/shards given up
   /// on after the heal-retry cap.
   void quarantine(const char* layer, std::uint64_t n = 1);
-  /// dialga_integrity_checksum_bytes_total{algo,impl}: bytes hashed.
-  void checksum_bytes(ChecksumAlgo algo, bool hw, std::uint64_t n);
+  /// dialga_integrity_checksum_bytes_total{impl}: bytes hashed.
+  void checksum_bytes(bool hw, std::uint64_t n);
 
  private:
   Metrics();

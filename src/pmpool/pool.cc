@@ -46,8 +46,7 @@ void Pool::reseal(Stripe& s) {
 }
 
 std::uint64_t Pool::seal(const Stripe& s, std::size_t block) const {
-  return integrity::Checksum(cfg_.algo, s.blocks[block].host,
-                             cfg_.block_size);
+  return integrity::Crc32c(s.blocks[block].host, cfg_.block_size);
 }
 
 bool Pool::heal_stripe(Stripe& s) const {

@@ -21,7 +21,6 @@
 
 #include "dialga/dialga.h"
 #include "ec/update.h"
-#include "integrity/checksum.h"
 #include "simmem/address_space.h"
 
 namespace pmpool {
@@ -37,8 +36,6 @@ struct PoolConfig {
   bool verify_on_read = true;
   /// Failed heals a stripe survives before it is quarantined.
   std::size_t heal_retry_cap = 3;
-  /// Block-seal checksum algorithm (in-memory seals, no compat burden).
-  integrity::ChecksumAlgo algo = integrity::kDefaultAlgo;
 
   std::size_t stripe_payload() const { return k * block_size; }
 };

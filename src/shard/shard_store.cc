@@ -53,20 +53,6 @@ struct ShardMetrics {
 
 }  // namespace
 
-std::uint64_t Checksum(const std::byte* data, std::size_t n) {
-  return integrity::Fnv1a(data, n);
-}
-
-namespace {
-
-/// The manifest's algorithm applied to a byte range.
-std::uint64_t ShardSum(const Manifest& mf, const std::byte* data,
-                       std::size_t n) {
-  return integrity::Checksum(mf.algo, data, n);
-}
-
-}  // namespace
-
 std::string Status::message() const {
   std::string msg = detail.empty() ? std::string("ok") : detail;
   if (!path.empty()) {
@@ -100,19 +86,15 @@ std::string Manifest::serialize() const {
      << "m " << m << "\n"
      << "block " << block_size << "\n"
      << "size " << file_size << "\n"
-     << "algo " << integrity::algo_name(algo) << "\n";
+     << "algo crc32c\n";
   for (std::size_t i = 0; i < shard_checksums.size(); ++i) {
     os << "shard " << i << " " << shard_checksums[i] << "\n";
   }
-  // Self-checksum over every preceding byte (same algorithm as the
-  // table): a flipped bit anywhere above — including inside a checksum
-  // value — or a truncated tail fails parse() instead of feeding the
-  // verifier a wrong table.
+  // Self-checksum over every preceding byte: a flipped bit anywhere
+  // above — including inside a checksum value — or a truncated tail
+  // fails parse() instead of feeding the verifier a wrong table.
   const std::string body = os.str();
-  os << "manifestsum "
-     << integrity::Checksum(
-            algo, reinterpret_cast<const std::byte*>(body.data()),
-            body.size())
+  os << "manifestsum " << integrity::Crc32c(body.data(), body.size())
      << "\n";
   return os.str();
 }
@@ -127,65 +109,46 @@ std::optional<Manifest> Manifest::parse(const std::string& text) {
   constexpr std::size_t kMaxBlock = std::size_t{1} << 30;   // 1 GiB
   constexpr std::uint64_t kMaxFile = std::uint64_t{1} << 50;  // 1 PiB
 
-  // Versioned-format preamble, byte-oriented because the self-checksum
-  // covers an exact prefix: find the declared algorithm and the
-  // trailing manifestsum line, verify the sum over everything before
-  // it, and token-parse only the covered body. A manifest that
-  // declares an algorithm but lost its sum line (truncation) is
-  // rejected; so is any sum mismatch (bit flips, including inside the
-  // checksum table itself).
-  integrity::ChecksumAlgo algo = integrity::ChecksumAlgo::kFnv1a;
-  bool versioned = false;
-  std::string body = text;
-  {
-    if (const std::size_t apos = text.rfind("\nalgo ");
-        apos != std::string::npos) {
-      const std::size_t vstart = apos + 6;
-      const std::size_t eol = text.find('\n', vstart);
-      if (eol == std::string::npos) return std::nullopt;
-      const auto parsed = integrity::parse_algo(
-          std::string_view(text).substr(vstart, eol - vstart));
-      if (!parsed) return std::nullopt;
-      algo = *parsed;
-      versioned = true;
-    }
-    const std::size_t spos = text.rfind("\nmanifestsum ");
-    if (versioned && spos == std::string::npos) return std::nullopt;
-    if (spos != std::string::npos) {
-      const std::size_t line_start = spos + 1;
-      const std::size_t vstart = line_start + 12;  // "manifestsum "
-      const std::size_t eol = text.find('\n', vstart);
-      // The sum line must be terminal AND newline-complete: trailing
-      // bytes would escape the sum, and a missing newline means the
-      // tail was cut — a 1-byte truncation is still a truncation.
-      if (eol == std::string::npos || eol + 1 != text.size()) {
-        return std::nullopt;
-      }
-      const std::size_t vend = eol;
-      if (vstart >= vend) return std::nullopt;
-      const std::string val = text.substr(vstart, vend - vstart);
-      char* endp = nullptr;
-      const unsigned long long want = std::strtoull(val.c_str(), &endp, 10);
-      if (endp == nullptr || *endp != '\0') return std::nullopt;
-      const std::uint64_t got = integrity::Checksum(
-          algo, reinterpret_cast<const std::byte*>(text.data()), line_start);
-      if (got != static_cast<std::uint64_t>(want)) return std::nullopt;
-      body = text.substr(0, line_start);
-    }
+  // The self-checksum covers an exact byte prefix, so it is checked
+  // byte-wise before any token is read: the terminal manifestsum line
+  // must be present and match the CRC-32C of everything before it. A
+  // missing sum line (truncation, or a generation that never wrote
+  // one) and any mismatch (bit flips, including inside the checksum
+  // table itself) are rejected.
+  const std::size_t spos = text.rfind("\nmanifestsum ");
+  if (spos == std::string::npos) return std::nullopt;
+  const std::size_t line_start = spos + 1;
+  const std::size_t vstart = line_start + 12;  // "manifestsum "
+  const std::size_t eol = text.find('\n', vstart);
+  // The sum line must be terminal AND newline-complete: trailing bytes
+  // would escape the sum, and a missing newline means the tail was cut
+  // — a 1-byte truncation is still a truncation.
+  if (eol == std::string::npos || eol + 1 != text.size() || vstart >= eol) {
+    return std::nullopt;
   }
+  const std::string val = text.substr(vstart, eol - vstart);
+  char* endp = nullptr;
+  const unsigned long long want = std::strtoull(val.c_str(), &endp, 10);
+  if (endp == nullptr || *endp != '\0') return std::nullopt;
+  if (integrity::Crc32c(text.data(), line_start) != want) return std::nullopt;
+  const std::string body = text.substr(0, line_start);
 
   std::istringstream is(body);
   std::string line;
   if (!std::getline(is, line) || line != "dialga-shard-v1") return std::nullopt;
   Manifest mf;
-  mf.algo = algo;
-  mf.versioned = versioned;
+  bool saw_algo = false;
   std::vector<bool> seen;
   std::string key;
   while (is >> key) {
     if (key == "algo") {
+      // CRC-32C is the only algorithm; any other name is a generation
+      // this code never wrote and cannot verify.
       std::string name;
-      if (!(is >> name) || !integrity::parse_algo(name)) return std::nullopt;
+      if (saw_algo || !(is >> name) || name != "crc32c") {
+        return std::nullopt;
+      }
+      saw_algo = true;
     } else if (key == "k") {
       if (!(is >> mf.k) || mf.k == 0 || mf.k > kMaxShards) return std::nullopt;
     } else if (key == "m") {
@@ -218,7 +181,9 @@ std::optional<Manifest> Manifest::parse(const std::string& text) {
       return std::nullopt;
     }
   }
-  if (mf.k == 0 || mf.m == 0 || mf.block_size == 0) return std::nullopt;
+  if (!saw_algo || mf.k == 0 || mf.m == 0 || mf.block_size == 0) {
+    return std::nullopt;
+  }
   if (mf.k + mf.m > kMaxShards) return std::nullopt;
   // The table must match the final geometry exactly: one checksum per
   // shard, none missing, none duplicated (duplicates already rejected).
@@ -494,8 +459,6 @@ Status ShardStore::encode_file(const fs::path& input,
   mf.m = m;
   mf.block_size = block_size_;
   mf.file_size = file_size;
-  mf.algo = algo_;
-  mf.versioned = true;
   const std::size_t stripes = mf.stripes();  // >= 1: empty files clamp
   const std::size_t shard_bytes = stripes * block_size_;
 
@@ -572,7 +535,8 @@ Status ShardStore::encode_file(const fs::path& input,
   // shards, each themselves whole) or the complete new generation —
   // never a manifest naming torn shards.
   for (std::size_t s = 0; s < k + m; ++s) {
-    mf.shard_checksums.push_back(ShardSum(mf, shards[s].data(), shard_bytes));
+    mf.shard_checksums.push_back(
+        integrity::Crc32c(shards[s].data(), shard_bytes));
     const auto st = aio::WriteFileDurable(xfer, ShardPath(dir, s), shards[s],
                                           kShardSites, /*sync_parent=*/false);
     if (!st.ok()) {
@@ -623,7 +587,7 @@ void ShardStore::load_shards(aio::Transfer& xfer, const fs::path& dir,
       state = ShardState::kMissing;
     } else if (verify_on_read_) {
       integrity::Metrics::Get().verify("shard");
-      if (ShardSum(mf, shards[s].data(), shards[s].size()) !=
+      if (integrity::Crc32c(shards[s].data(), shards[s].size()) !=
           mf.shard_checksums[s]) {
         state = ShardState::kCorrupt;
         integrity::Metrics::Get().corrupt("shard");
@@ -690,7 +654,7 @@ RepairReport ShardStore::repair(const fs::path& dir) const {
   report.status = decode_stripes(*mf, shards, report.damaged);
   if (!report.status.ok()) return report;
   for (const std::size_t s : report.damaged) {
-    if (ShardSum(*mf, shards[s].data(), shards[s].size()) !=
+    if (integrity::Crc32c(shards[s].data(), shards[s].size()) !=
         mf->shard_checksums[s]) {
       integrity::Metrics::Get().heal("shard", false);
       continue;  // rebuilt bytes do not match the manifest: refuse
@@ -718,7 +682,8 @@ Status ShardStore::decode_file(const fs::path& dir,
   const auto mf = Manifest::parse(
       std::string(reinterpret_cast<const char*>(raw.data()), raw.size()));
   if (!mf) {
-    return Status::Damaged(dir / "manifest.txt", "corrupt manifest");
+    return Status::Damaged(dir / "manifest.txt",
+                           "corrupt or unsupported manifest");
   }
   pmpool::Arena arena;
   std::vector<std::span<std::byte>> shards;
@@ -748,7 +713,7 @@ Status ShardStore::decode_file(const fs::path& dir,
       // a write failure leaves the old shard (temp→rename), so heal is
       // strictly best-effort and never fails the decode.
       for (const std::size_t s : damaged) {
-        if (ShardSum(*mf, shards[s].data(), shards[s].size()) !=
+        if (integrity::Crc32c(shards[s].data(), shards[s].size()) !=
             mf->shard_checksums[s]) {
           integrity::Metrics::Get().heal("shard", false);
           continue;

@@ -12,12 +12,13 @@
 // Each shard holds its blocks of every stripe back to back; the file is
 // zero-padded to a whole number of stripes.
 //
-// Checksum versioning: new generations record `algo crc32c` (hardware-
-// dispatched, integrity/checksum.h) and end with a `manifestsum` line
-// covering every preceding byte, so a bit-flipped or truncated
+// Checksums are CRC-32C (hardware-dispatched, integrity/checksum.h).
+// Every manifest records `algo crc32c` and ends with a `manifestsum`
+// line covering every preceding byte, so a bit-flipped or truncated
 // manifest is a parse failure, never a silently-zero checksum table.
-// Manifests without the algo line are pre-versioning FNV-1a generations
-// and still verify and decode unchanged.
+// A manifest without both lines, or naming any other algorithm, fails
+// closed: it does not parse, and eccli reports it as corrupt or
+// unsupported.
 #pragma once
 
 #include <chrono>
@@ -31,7 +32,6 @@
 
 #include "aio/datapath.h"
 #include "ec/codec.h"
-#include "integrity/checksum.h"
 #include "svc/retry.h"
 
 namespace pmpool {
@@ -89,13 +89,8 @@ struct Manifest {
   std::size_t m = 0;
   std::size_t block_size = 0;
   std::uint64_t file_size = 0;  ///< original (unpadded) byte count
-  /// Checksum algorithm of the table (and the manifestsum line). Old
-  /// manifests carry no `algo` line and parse as kFnv1a.
-  integrity::ChecksumAlgo algo = integrity::ChecksumAlgo::kFnv1a;
-  /// True when the manifest text declared `algo` (the versioned
-  /// format, which also requires the trailing manifestsum line).
-  bool versioned = false;
-  std::vector<std::uint64_t> shard_checksums;  ///< k + m entries
+  /// CRC-32C per shard, zero-extended; k + m entries.
+  std::vector<std::uint64_t> shard_checksums;
 
   std::size_t stripes() const;
   std::size_t shard_bytes() const { return stripes() * block_size; }
@@ -103,11 +98,6 @@ struct Manifest {
   std::string serialize() const;
   static std::optional<Manifest> parse(const std::string& text);
 };
-
-/// FNV-1a over a byte range — the legacy scrub checksum, kept for
-/// pre-versioning generations; new code paths use the manifest's
-/// algorithm via integrity::Checksum.
-std::uint64_t Checksum(const std::byte* data, std::size_t n);
 
 /// Per-shard verification outcome (verify-on-read vocabulary).
 enum class ShardState : std::uint8_t {
@@ -177,12 +167,6 @@ class ShardStore {
   /// to stdio when io_uring is unavailable.
   void set_aio_mode(aio::Mode mode) { aio_mode_ = mode; }
   aio::Mode aio_mode() const { return aio_mode_; }
-
-  /// Checksum algorithm stamped into manifests written by encode_file
-  /// (reads always honour whatever the manifest declares). Default:
-  /// hardware-dispatched CRC-32C.
-  void set_checksum_algo(integrity::ChecksumAlgo algo) { algo_ = algo; }
-  integrity::ChecksumAlgo checksum_algo() const { return algo_; }
 
   /// Verify-on-read: every load checks shard checksums against the
   /// manifest and treats mismatches as damage (the default). Turning
@@ -261,7 +245,6 @@ class ShardStore {
   svc::StripeService* service_ = nullptr;
   ServicePolicy policy_;
   aio::Mode aio_mode_ = aio::ModeFromEnv();
-  integrity::ChecksumAlgo algo_ = integrity::kDefaultAlgo;
   bool verify_on_read_ = true;
   bool read_repair_ = true;
 };

@@ -3,14 +3,17 @@
 // degraded-read scope ordering (local group before global parity),
 // scrub repair of dropped and bit-rotted chunks, membership-change
 // rebalancing, the token-bucket rate limiter in virtual time, the
-// cluster manifest, and per-node fault-site routing.
+// cluster manifest, per-node fault-site routing, and the persisted
+// chunk format (pinned bytes; "DIALGA1" chunks fail closed).
 #include "cluster/local_cluster.h"
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <random>
 
 #include "cluster/coordinator.h"
@@ -391,11 +394,104 @@ TEST_F(ClusterTest, ManifestRejectsGarbage) {
       ClusterManifest::parse(m.serialize() + "future_key 9\n", &out));
 }
 
-TEST_F(ClusterTest, SocketTransportIsAnHonestStub) {
-  cluster::SocketTransport t({{1, "127.0.0.1", 9000}});
-  cluster::Frame req, resp;
-  EXPECT_EQ(t.call(cluster::kClientId, 1, req, &resp), ENOTSUP);
-  EXPECT_EQ(t.name(), "socket");
+// --- Chunk trailer format ------------------------------------------------
+
+std::string ReadAll(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+fs::path ChunkFile(const fs::path& node_dir, std::uint64_t stripe,
+                   std::uint32_t shard) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "s%016llx_%04u.chunk",
+                static_cast<unsigned long long>(stripe), shard);
+  return node_dir / name;
+}
+
+TEST_F(ClusterTest, PersistedChunkTrailerMatchesThePinnedBytes) {
+  // A persisted chunk is payload + CRC-32C (u64 LE) + "DIALGA2", byte
+  // for byte as written by the release that still loaded "DIALGA1"
+  // chunks, so every chunk written since then still loads.
+  const fs::path dir = fs::temp_directory_path() / "dialga_chunk_pin_test";
+  fs::remove_all(dir);
+  {
+    cluster::NodeConfig nc;
+    nc.id = 1;
+    nc.data_dir = dir;
+    cluster::Node node(nc, nullptr);
+    cluster::Frame req;
+    req.type = cluster::MsgType::kStore;
+    req.stripe = 5;
+    req.geom = {.k = 4, .global = 2, .local = 0, .block_size = 16};
+    cluster::Blob b;
+    b.index = 1;
+    for (int i = 0; i < 16; ++i) {
+      b.bytes.push_back(std::byte{static_cast<unsigned char>(i * 7 + 1)});
+    }
+    req.blocks.push_back(std::move(b));
+    cluster::Frame resp;
+    ASSERT_EQ(node.handle(req, &resp), 0);
+    ASSERT_EQ(resp.status, cluster::WireStatus::kOk);
+  }
+  const std::string pinned(
+      "\x01\x08\x0f\x16\x1d\x24\x2b\x32\x39\x40\x47\x4e\x55\x5c\x63\x6a"
+      "\x7f\x04\xb3\x84\x00\x00\x00\x00"  // CRC-32C, zero-extended
+      "DIALAGA2",                          // the "DIALGA2" magic, LE
+      32);
+  EXPECT_EQ(ReadAll(ChunkFile(dir, 5, 1)), pinned);
+  fs::remove_all(dir);
+}
+
+TEST_F(ClusterTest, Dialga1ChunkIsNotLoadedAndScrubRestoresIt) {
+  const fs::path root = fs::temp_directory_path() / "dialga_chunk_v1_test";
+  fs::remove_all(root);
+  const auto data = MakeStripe(kRs, 77);
+  std::size_t home = 0;
+  {
+    LocalCluster c(Cfg(4, 0, kRs, root));
+    const auto ptrs = Ptrs(data);
+    ASSERT_TRUE(
+        c.coordinator()
+            .write_stripe(0, std::span<const std::byte* const>(ptrs))
+            .ok());
+    home = c.placement().table(0, kRs)[1] - 1;
+  }
+  // Re-seal shard 1's chunk as a "DIALGA1" generation: its FNV-1a 64
+  // sum and magic, the trailer this code no longer reads.
+  std::string node_dir = "n";
+  node_dir += std::to_string(home);
+  const fs::path chunk = ChunkFile(root / node_dir, 0, 1);
+  std::string file = ReadAll(chunk);
+  ASSERT_GT(file.size(), 16u);
+  file.resize(file.size() - 16);
+  std::uint64_t fnv = 1469598103934665603ull;
+  for (const char ch : file) {
+    fnv ^= static_cast<unsigned char>(ch);
+    fnv *= 1099511628211ull;
+  }
+  for (const std::uint64_t v : {fnv, std::uint64_t{0x314147414c414944ull}}) {
+    for (int i = 0; i < 8; ++i) file.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  std::ofstream(chunk, std::ios::binary | std::ios::trunc) << file;
+
+  LocalCluster c(Cfg(4, 0, kRs, root));
+  c.coordinator().track(0);
+  EXPECT_FALSE(c.node(home).has_chunk(0, 1))
+      << "a DIALGA1 chunk must be skipped at load like a foreign file";
+  const auto report = c.coordinator().scrub_pass();
+  EXPECT_EQ(report.repaired, 1u);
+  EXPECT_EQ(report.unrecoverable, 0u);
+  EXPECT_TRUE(c.node(home).has_chunk(0, 1));
+  for (std::uint32_t j = 0; j < kRs.k; ++j) {
+    std::vector<std::byte> out;
+    EXPECT_EQ(c.coordinator().read_block(0, j, &out).code,
+              OpResult::Code::kOk);
+    EXPECT_EQ(out, data[j]);
+  }
+  // Rewritten by scrub in today's format (the magic's 8 LE bytes).
+  EXPECT_TRUE(ReadAll(chunk).ends_with("DIALAGA2"));
+  fs::remove_all(root);
 }
 
 }  // namespace

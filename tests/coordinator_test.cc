@@ -234,14 +234,15 @@ TEST(Coordinator, BaselineRecoversAfterAnomalouslyQuietWindow) {
          "once the anomalous baseline ages out";
 }
 
-// The legacy lifetime-minimum behavior stays available behind
-// baseline_window = 0 — and pins the stale baseline forever, which is
-// exactly the bug the sliding window fixes.
-TEST(Coordinator, LegacyLifetimeBaselineStaysPinned) {
+// baseline_window = 0 would size an empty baseline ring (the ring
+// index is taken modulo its size); the coordinator clamps it to one
+// window, so each window is its own baseline and never reads as
+// contention against itself.
+TEST(Coordinator, ZeroBaselineWindowClampsToOne) {
   const PatternInfo p{12, 4, 1024, 8};
   Thresholds thr;
   thr.sample_interval_ns = 100.0;
-  thr.baseline_window = 0;  // legacy: lifetime minimum
+  thr.baseline_window = 0;
   Coordinator c(p, Features::all(), thr, kBuffer);
 
   simmem::SimConfig cfg;
@@ -253,7 +254,7 @@ TEST(Coordinator, LegacyLifetimeBaselineStaysPinned) {
   c.strategy(mem);
   const double quiet_baseline = c.baseline_latency_ns();
 
-  for (int w = 1; w <= 10; ++w) {
+  for (int w = 1; w <= 3; ++w) {
     for (int i = 0; i < 100; ++i) {
       mem.load(0, simmem::kPmBase +
                       static_cast<std::size_t>(w * 100 + i) *
@@ -262,10 +263,10 @@ TEST(Coordinator, LegacyLifetimeBaselineStaysPinned) {
     mem.advance_to(0, 200.0 + w * 150.0);
     c.strategy(mem);
   }
-  EXPECT_DOUBLE_EQ(c.baseline_latency_ns(), quiet_baseline)
-      << "lifetime minimum never forgets";
-  EXPECT_TRUE(c.contention())
-      << "with the pinned baseline the contention bit never clears";
+  ASSERT_EQ(c.samples_taken(), 4u);
+  EXPECT_GT(c.baseline_latency_ns(), quiet_baseline)
+      << "a one-window baseline holds only the latest window";
+  EXPECT_FALSE(c.contention());
 }
 
 TEST(Coordinator, AdaptiveDistanceFollowsClimber) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <random>
 
 #include "bench_util/runner.h"
 #include "ec/isal.h"
+#include "obs/metrics.h"
 
 namespace dialga {
 namespace {
@@ -185,6 +188,95 @@ TEST(DialgaCodec, NameAndAccessors) {
   EXPECT_EQ(d.params().k, 12u);
   EXPECT_TRUE(d.features().buffer_friendly);
   EXPECT_EQ(d.inner().name(), "ISA-L");
+}
+
+// --- Host face: pure strategy, read-only plan cache ----------------------
+
+TEST(DialgaHostFace, EncodesPublishNoCoordinatorMetrics) {
+  // RS(48,4) runs pd 48, not the default strategy: a per-call
+  // Coordinator used to count a strategy flip on every encode and
+  // overwrite the live coordinator's gauges.
+  const DialgaCodec codec(48, 4);
+  constexpr std::size_t kBs = 64 * 1024;
+  ASSERT_FALSE(codec.host_strategy(kBs) == Strategy{});
+  Blocks b = MakeBlocks(48, 4, kBs, 17);
+  const obs::Counter& flips = obs::Registry::Global().counter(
+      "dialga_coord_strategy_flips_total");
+  const std::uint64_t before = flips.value();
+  for (int i = 0; i < 100; ++i) {
+    codec.encode(kBs, b.data_ptrs, b.parity_ptrs);
+  }
+  EXPECT_EQ(flips.value(), before);
+}
+
+TEST(DialgaHostFace, StrategyMatchesCoordinatorInitialStrategy) {
+  // The golden_plan_test shapes plus the paper's narrow, small-block
+  // and wide shapes.
+  const PatternInfo shapes[] = {
+      {2, 1, 128, 1},    {1, 1, 256, 1},   {2, 1, 512, 1},
+      {2, 1, 256, 1},    {12, 4, 1024, 1}, {12, 4, 4096, 1},
+      {12, 4, 65636, 1}, {48, 4, 65536, 1}};
+  SelectorOptions empty_cache;  // selector on, nothing cached
+  empty_cache.enabled = true;
+  for (const PatternInfo& p : shapes) {
+    SCOPED_TRACE(::testing::Message() << "RS(" << p.k << "," << p.m
+                                      << ") block " << p.block_size);
+    const Coordinator coord(p, Features::all(), Thresholds{}, 0);
+    DialgaCodec codec(p.k, p.m);
+    EXPECT_EQ(codec.host_strategy(p.block_size), coord.initial_strategy());
+    codec.set_selector_options(empty_cache);
+    EXPECT_EQ(codec.host_strategy(p.block_size), coord.initial_strategy());
+  }
+}
+
+TEST(DialgaHostFace, PlanCacheIsReadOnly) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "dialga_host_face_cache";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path path = dir / "plans.bin";
+  constexpr std::size_t kBs = 4096;
+  Blocks b = MakeBlocks(8, 3, kBs, 3);
+  auto exercise = [&] {
+    DialgaCodec codec(8, 3);
+    SelectorOptions opts;
+    opts.enabled = true;
+    opts.learn = true;
+    opts.plan_cache_path = path.string();
+    codec.set_selector_options(opts);
+    for (int i = 0; i < 4; ++i) {
+      codec.encode(kBs, b.data_ptrs, b.parity_ptrs);
+      const std::vector<std::size_t> erasures{1};
+      EXPECT_TRUE(codec.decode(kBs, b.all_ptrs, erasures));
+    }
+    return codec.host_strategy(kBs);
+  };
+
+  // Cold: a miss must not create the file.
+  exercise();
+  EXPECT_FALSE(fs::exists(path));
+
+  // Warm: a hit replays the cached plan and leaves the file untouched.
+  WindowFeatures f;
+  f.k = 8;
+  f.m = 3;
+  f.block_size = kBs;
+  f.nthreads = 1;
+  Strategy cached;
+  cached.sw_distance = 24;
+  PlanCache cache;
+  cache.insert(f.shape_key(), {cached.key(), 0.5});
+  ASSERT_TRUE(cache.flush(path.string()));
+  auto slurp = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string bytes = slurp();
+  const auto mtime = fs::last_write_time(path);
+  EXPECT_EQ(exercise(), cached);
+  EXPECT_EQ(slurp(), bytes);
+  EXPECT_EQ(fs::last_write_time(path), mtime);
+  fs::remove_all(dir);
 }
 
 }  // namespace

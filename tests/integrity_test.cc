@@ -1,9 +1,14 @@
 // Checksum-layer tests: CRC-32C known-answer vectors, the hardware/
-// software differential at every tail length, algorithm-id plumbing,
-// and the manifest-hardening regressions (a bit-flipped or truncated
-// manifest must be a parse failure, never a silently-zero table).
+// software differential at every tail length, the manifest format
+// pinned byte for byte, fail-closed rejection of generations this code
+// does not read (FNV-1a or algo-less manifests), and the
+// manifest-hardening regressions (a bit-flipped or truncated manifest
+// must be a parse failure, never a silently-zero table).
+#include <sys/wait.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -64,33 +69,6 @@ TEST(Crc32c, ScalarIsaPinsSoftwarePath) {
   EXPECT_EQ(scalar_sum, integrity::Crc32cSoftware(data, 6));
 }
 
-TEST(ChecksumAlgo, NamesRoundTrip) {
-  using integrity::ChecksumAlgo;
-  EXPECT_STREQ(integrity::algo_name(ChecksumAlgo::kFnv1a), "fnv1a");
-  EXPECT_STREQ(integrity::algo_name(ChecksumAlgo::kCrc32c), "crc32c");
-  EXPECT_EQ(integrity::parse_algo("fnv1a"), ChecksumAlgo::kFnv1a);
-  EXPECT_EQ(integrity::parse_algo("crc32c"), ChecksumAlgo::kCrc32c);
-  EXPECT_FALSE(integrity::parse_algo("md5").has_value());
-  EXPECT_FALSE(integrity::parse_algo("").has_value());
-}
-
-TEST(ChecksumAlgo, TaggedChecksumDispatches) {
-  const char data[] = "0123456789abcdef";
-  EXPECT_EQ(integrity::Checksum(integrity::ChecksumAlgo::kFnv1a, data, 16),
-            integrity::Fnv1a(data, 16));
-  // CRC-32C stored zero-extended: high 32 bits empty.
-  const std::uint64_t crc =
-      integrity::Checksum(integrity::ChecksumAlgo::kCrc32c, data, 16);
-  EXPECT_EQ(crc >> 32, 0u);
-  EXPECT_EQ(static_cast<std::uint32_t>(crc), integrity::Crc32c(data, 16));
-}
-
-TEST(ChecksumAlgo, LegacyShardChecksumIsFnv1a) {
-  const std::byte bytes[4] = {std::byte{1}, std::byte{2}, std::byte{3},
-                              std::byte{4}};
-  EXPECT_EQ(shard::Checksum(bytes, 4), integrity::Fnv1a(bytes, 4));
-}
-
 // --- Manifest versioning and hardening -----------------------------------
 
 shard::Manifest MakeManifest() {
@@ -99,8 +77,6 @@ shard::Manifest MakeManifest() {
   mf.m = 2;
   mf.block_size = 64;
   mf.file_size = 200;
-  mf.algo = integrity::kDefaultAlgo;
-  mf.versioned = true;
   mf.shard_checksums = {11, 22, 33, 44, 55, 66};
   return mf;
 }
@@ -109,26 +85,68 @@ TEST(ManifestVersioning, SerializeParseRoundTrip) {
   const shard::Manifest mf = MakeManifest();
   const auto back = shard::Manifest::parse(mf.serialize());
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->algo, integrity::kDefaultAlgo);
-  EXPECT_TRUE(back->versioned);
   EXPECT_EQ(back->k, mf.k);
   EXPECT_EQ(back->m, mf.m);
   EXPECT_EQ(back->shard_checksums, mf.shard_checksums);
 }
 
-TEST(ManifestVersioning, LegacyManifestParsesAsFnv1a) {
-  // Pre-versioning generations: no algo line, no manifestsum line.
-  const std::string legacy =
+TEST(ManifestVersioning, SerializeMatchesThePinnedFormat) {
+  // Bytes written for this manifest by the release that still read the
+  // older generations: today's format is unchanged, so every
+  // generation written since CRC-32C became the default still reads.
+  const std::string pinned =
       "dialga-shard-v1\n"
       "k 4\nm 2\nblock 64\nsize 200\n"
+      "algo crc32c\n"
       "shard 0 11\nshard 1 22\nshard 2 33\n"
-      "shard 3 44\nshard 4 55\nshard 5 66\n";
-  const auto mf = shard::Manifest::parse(legacy);
-  ASSERT_TRUE(mf.has_value());
-  EXPECT_EQ(mf->algo, integrity::ChecksumAlgo::kFnv1a);
-  EXPECT_FALSE(mf->versioned);
-  EXPECT_EQ(mf->shard_checksums.size(), 6u);
-  EXPECT_EQ(mf->shard_checksums[2], 33u);
+      "shard 3 44\nshard 4 55\nshard 5 66\n"
+      "manifestsum 3215156871\n";
+  EXPECT_EQ(MakeManifest().serialize(), pinned);
+  EXPECT_TRUE(shard::Manifest::parse(pinned).has_value());
+}
+
+// FNV-1a 64, the retired manifest algorithm — computed here only to
+// build a faithful generation that the parser must refuse.
+std::uint64_t Fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// `text` with its algo and manifestsum lines removed: the algo-less
+/// layout that predates manifest versioning.
+std::string StripVersionLines(std::string text) {
+  text.erase(text.find("algo crc32c\n"), 12);
+  text.resize(text.rfind("manifestsum "));
+  return text;
+}
+
+/// `text` re-sealed as an FNV-1a generation: `algo fnv1a` and an FNV
+/// manifestsum over everything before it.
+std::string AsFnv1aGeneration(std::string text) {
+  text.replace(text.find("algo crc32c"), 11, "algo fnv1a");
+  text.resize(text.rfind("manifestsum "));
+  return text + "manifestsum " + std::to_string(Fnv1a(text)) + "\n";
+}
+
+TEST(ManifestVersioning, AlgoLessManifestRejected) {
+  const std::string legacy = StripVersionLines(MakeManifest().serialize());
+  ASSERT_EQ(legacy.find("algo"), std::string::npos);
+  EXPECT_FALSE(shard::Manifest::parse(legacy).has_value());
+  // Rejected for the missing algo line itself, even under a valid sum.
+  const std::string summed =
+      legacy + "manifestsum " +
+      std::to_string(integrity::Crc32c(legacy.data(), legacy.size())) + "\n";
+  EXPECT_FALSE(shard::Manifest::parse(summed).has_value());
+}
+
+TEST(ManifestVersioning, Fnv1aManifestRejected) {
+  const std::string fnv = AsFnv1aGeneration(MakeManifest().serialize());
+  ASSERT_NE(fnv.find("algo fnv1a\n"), std::string::npos);
+  EXPECT_FALSE(shard::Manifest::parse(fnv).has_value());
 }
 
 TEST(ManifestHardening, BitFlippedChecksumTableRejected) {
@@ -195,41 +213,53 @@ std::string ReadFileBytes(const fs::path& p) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-TEST(CrossGeneration, Fnv1aGenerationStillVerifiesAndDecodes) {
+/// Run eccli with `args`; returns its exit status and fills `*out` with
+/// the combined stdout + stderr.
+int RunEccli(const std::string& args, std::string* out) {
+  const std::string cmd = std::string(DIALGA_ECCLI) + " " + args + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) *out += buf;
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CrossGeneration, UnsupportedGenerationsFailClosed) {
   const fs::path dir =
-      fs::temp_directory_path() / "dialga_integrity_fnv_gen";
+      fs::temp_directory_path() / "dialga_integrity_unsupported_gen";
   fs::remove_all(dir);
   const fs::path input = dir / "input.bin";
-  const fs::path output = dir / "output.bin";
   fs::create_directories(dir);
-  std::string payload(3000, '\0');
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<char>(i * 37 + 5);
-  }
-  WriteFileBytes(input, payload);
+  WriteFileBytes(input, std::string(3000, 'q'));
 
   const dialga::DialgaCodec codec(4, 2);
   shard::ShardStore store(codec, 256);
-  store.set_checksum_algo(integrity::ChecksumAlgo::kFnv1a);
   ASSERT_TRUE(store.encode_file(input, dir).ok());
+  const std::string today = ReadFileBytes(dir / "manifest.txt");
 
-  // Strip the version lines to regress the manifest to the legacy
-  // format an old generation would have written.
-  std::string text = ReadFileBytes(dir / "manifest.txt");
-  const std::size_t apos = text.find("algo fnv1a\n");
-  ASSERT_NE(apos, std::string::npos);
-  text.erase(apos, 11);
-  const std::size_t spos = text.rfind("manifestsum ");
-  ASSERT_NE(spos, std::string::npos);
-  text.resize(spos);
-  WriteFileBytes(dir / "manifest.txt", text);
+  for (const std::string& old_gen :
+       {StripVersionLines(today), AsFnv1aGeneration(today)}) {
+    SCOPED_TRACE(old_gen);
+    WriteFileBytes(dir / "manifest.txt", old_gen);
+    EXPECT_EQ(store.verify(dir), std::vector<std::size_t>{SIZE_MAX});
+    const shard::Status st = store.decode_file(dir, dir / "out.bin");
+    EXPECT_EQ(st.kind, shard::Status::Kind::kDamaged);
+    EXPECT_NE(st.message().find("unsupported"), std::string::npos);
 
-  // A new store (defaulting to CRC-32C for writes) still verifies and
-  // decodes the FNV generation because reads honour the manifest.
-  shard::ShardStore reader(codec, 256);
-  EXPECT_TRUE(reader.verify(dir).empty());
-  ASSERT_TRUE(reader.decode_file(dir, output).ok());
-  EXPECT_EQ(ReadFileBytes(output), payload);
+    std::string out;
+    EXPECT_EQ(RunEccli("verify " + dir.string(), &out), 1);
+    EXPECT_NE(out.find("unsupported"), std::string::npos) << out;
+    out.clear();
+    EXPECT_EQ(
+        RunEccli("decode " + dir.string() + " " + (dir / "out.bin").string(),
+                 &out),
+        1);
+    EXPECT_NE(out.find("unsupported"), std::string::npos) << out;
+  }
+  // The same shards under today's manifest still verify.
+  WriteFileBytes(dir / "manifest.txt", today);
+  EXPECT_TRUE(store.verify(dir).empty());
   fs::remove_all(dir);
 }
 

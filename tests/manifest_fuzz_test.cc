@@ -9,6 +9,7 @@
 #include <random>
 #include <string>
 
+#include "manifest_seal.h"
 #include "shard/shard_store.h"
 
 namespace shard {
@@ -65,8 +66,16 @@ TEST(ManifestFuzz, EveryTruncationIsRejectedOrValid) {
   }
 }
 
+TEST(ManifestFuzz, SealedBodyReachesTheBoundsChecks) {
+  // Positive control for the sealed cases below: a sane sealed body
+  // parses, so each hostile one is rejected by its own field.
+  const auto mf = Manifest::parse(SealManifest(
+      "k 2\nm 1\nblock 64\nsize 1\nshard 0 1\nshard 1 2\nshard 2 3\n"));
+  ASSERT_TRUE(mf.has_value());
+  ExpectInvariants(*mf);
+}
+
 TEST(ManifestFuzz, HostileInputsAreRejectedWithoutCrashing) {
-  const std::string header = "dialga-shard-v1\n";
   const char* hostile[] = {
       // A shard index that used to size an unbounded resize().
       "k 4 \nm 2\nblock 512\nsize 100\nshard 18446744073709551615 1\n",
@@ -93,10 +102,11 @@ TEST(ManifestFuzz, HostileInputsAreRejectedWithoutCrashing) {
   };
   for (const char* body : hostile) {
     SCOPED_TRACE(body);
-    EXPECT_FALSE(Manifest::parse(header + body).has_value());
+    EXPECT_FALSE(Manifest::parse(SealManifest(body)).has_value());
   }
   EXPECT_FALSE(Manifest::parse("").has_value());
-  EXPECT_FALSE(Manifest::parse(header).has_value());
+  EXPECT_FALSE(Manifest::parse(SealManifest("")).has_value());
+  EXPECT_FALSE(Manifest::parse("dialga-shard-v1\n").has_value());
   EXPECT_FALSE(Manifest::parse("not-a-manifest\n").has_value());
 }
 
@@ -133,16 +143,16 @@ TEST(ManifestFuzz, RandomTokenSoupNeverCrashes) {
   const char* words[] = {"k", "m", "block", "size", "shard",
                          "dialga-shard-v1", "0", "1", "4",
                          "18446744073709551615", "-1", "999999999999",
-                         "\n", " ", "zzz"};
+                         "\n", " ", "zzz", "algo", "crc32c", "fnv1a"};
   for (int trial = 0; trial < 2000; ++trial) {
-    std::string text = "dialga-shard-v1\n";
+    std::string body;
     const std::size_t tokens = rng() % 40;
     for (std::size_t t = 0; t < tokens; ++t) {
-      text += words[rng() % (sizeof(words) / sizeof(words[0]))];
-      text += (rng() % 4 == 0) ? '\n' : ' ';
+      body += words[rng() % (sizeof(words) / sizeof(words[0]))];
+      body += (rng() % 4 == 0) ? '\n' : ' ';
     }
     SCOPED_TRACE("trial " + std::to_string(trial));
-    const auto mf = Manifest::parse(text);
+    const auto mf = Manifest::parse(SealManifest(body));
     if (mf) ExpectInvariants(*mf);
   }
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <random>
 
@@ -147,11 +148,11 @@ TEST(WireFuzzTest, BadMagicVersionType) {
 
 TEST(WireFuzzTest, HugeDeclaredBodyIsMalformedNotAllocated) {
   // Header claiming a body far past kMaxWireBody must be rejected from
-  // the 8 header bytes alone.
+  // the first 8 header bytes alone.
   std::vector<std::byte> bytes(8);
   bytes[0] = std::byte{0x17};
   bytes[1] = std::byte{0xDC};
-  bytes[2] = std::byte{1};  // version
+  bytes[2] = std::byte{cluster::kWireVersion};
   bytes[3] = std::byte{11}; // kHeartbeat
   const std::uint32_t huge = 0xffffffffu;
   std::memcpy(bytes.data() + 4, &huge, 4);
@@ -196,9 +197,9 @@ TEST(WireFuzzTest, BodyBitFlipFailsChecksum) {
   }
 }
 
-TEST(WireTest, LegacyVersion1FrameStillParses) {
-  // Mixed-version interop: a v1 frame (8-byte header, no body CRC)
-  // built by an old peer must still decode.
+TEST(WireTest, Version1FrameIsMalformed) {
+  // The pre-checksum v1 layout (8-byte header, no body CRC) fails
+  // closed: a peer cannot skip the integrity check by downgrading.
   const Frame f = SampleFrame();
   const auto v2 = EncodeFrame(f);
   std::vector<std::byte> v1;
@@ -206,9 +207,36 @@ TEST(WireTest, LegacyVersion1FrameStillParses) {
   v1[2] = std::byte{1};  // version
   v1.insert(v1.end(), v2.begin() + 12, v2.end());  // body, sans CRC
   Frame out;
-  std::size_t consumed = 0;
-  ASSERT_EQ(DecodeFrame(v1, &out, &consumed), ParseStatus::kOk);
-  EXPECT_EQ(consumed, v1.size());
+  EXPECT_EQ(DecodeFrame(v1, &out, nullptr), ParseStatus::kMalformed);
+}
+
+TEST(WireTest, EncodeFrameMatchesThePinnedBytes) {
+  // v2 frame bytes pinned from the release that still decoded v1:
+  // today's format is unchanged, so current peers interoperate.
+  Frame f;
+  f.type = MsgType::kStore;
+  f.seq = 0x0123456789abcdefull;
+  f.stripe = 42;
+  f.shard = 3;
+  f.aux = 7;
+  f.geom = {.k = 4, .global = 2, .local = 2, .block_size = 3};
+  f.placement = {1, 2, 3};
+  f.blocks.push_back({3, {std::byte{'a'}, std::byte{'b'}, std::byte{'c'}}});
+  const std::string pinned =
+      "17dc02094f0000003a5451ac"  // magic, v2, kStore, length, body CRC
+      "efcdab89674523012a000000000000000300000000000000"
+      "0700000000000000040000000200000002000000030000000300000001000000"
+      "0200000003000000010000000300000003000000616263";
+  const auto bytes = EncodeFrame(f);
+  std::string hex;
+  for (const std::byte b : bytes) {
+    char buf[3];
+    std::snprintf(buf, sizeof(buf), "%02x", static_cast<unsigned>(b));
+    hex += buf;
+  }
+  EXPECT_EQ(hex, pinned);
+  Frame out;
+  ASSERT_EQ(DecodeFrame(bytes, &out, nullptr), ParseStatus::kOk);
   EXPECT_TRUE(FramesEqual(f, out));
 }
 

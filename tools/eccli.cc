@@ -171,7 +171,8 @@ dialga::SelectorOptions SelectorFromOptions(const Options& opt) {
 /// The manifest pins (k, m); commands other than encode read it so the
 /// user never has to repeat the parameters. Distinguishes an unreadable
 /// manifest (I/O: missing directory, permissions) from an unparseable
-/// one (damage) via `status`.
+/// one via `status`: damage, or a generation this code does not read
+/// (no CRC-32C `algo` line or no `manifestsum`), both exit 1.
 std::optional<shard::Manifest> ManifestOf(const std::string& dir,
                                           shard::Status* status) {
   const auto path = std::filesystem::path(dir) / "manifest.txt";
@@ -185,7 +186,9 @@ std::optional<shard::Manifest> ManifestOf(const std::string& dir,
   }
   auto mf = shard::Manifest::parse(
       std::string(reinterpret_cast<const char*>(raw.data()), raw.size()));
-  if (!mf) *status = shard::Status::Damaged(path, "corrupt manifest");
+  if (!mf) {
+    *status = shard::Status::Damaged(path, "corrupt or unsupported manifest");
+  }
   return mf;
 }
 
