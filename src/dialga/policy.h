@@ -45,8 +45,9 @@ struct Strategy {
 
   /// Realize the strategy as host-kernel options for the fused encode
   /// driver (ec::FusedEncode): the planned software-prefetch distance
-  /// — already expressed in 64 B line tasks — becomes the distance the
-  /// branchless prefetch-pointer array is built with. The hardware-
+  /// — already expressed in 64 B load tasks in row order, d = k being
+  /// one row ahead — becomes the distance the branchless k-entry
+  /// prefetch-pointer table is built with. The hardware-
   /// prefetcher switch and XPLine shaping are PM-simulation concerns
   /// with no host-DRAM analogue, so only the distance crosses over.
   ec::HostKernelOptions to_host_options() const {

@@ -82,6 +82,25 @@ CoeffCache::CoeffCache(const gf::Matrix& mat,
   }
 }
 
+std::size_t BuildPrefetchTable(std::span<const std::byte* const> srcs,
+                               std::size_t block_size, std::size_t distance,
+                               const std::byte** table) {
+  const std::size_t k = srcs.size();
+  if (distance == 0 || k == 0) return 0;
+  const std::size_t rows = (block_size + 63) / 64;
+  const std::size_t q = distance / k;
+  const std::size_t r = distance % k;
+  // Row `row`'s last task targets row + ceil(d / k); rows from
+  // rows - ceil(d / k) on would reach past the block end.
+  const std::size_t ahead = q + (r != 0 ? 1 : 0);
+  if (ahead >= rows) return 0;
+  for (std::size_t s = 0; s < k - r; ++s) table[s] = srcs[s + r] + 64 * q;
+  for (std::size_t s = k - r; s < k; ++s) {
+    table[s] = srcs[s + r - k] + 64 * (q + 1);
+  }
+  return (rows - ahead) * 64;
+}
+
 void FusedEncode(const CoeffCache& cache, std::size_t block_size,
                  std::span<const std::byte* const> srcs,
                  std::span<std::byte* const> dsts,
@@ -89,6 +108,7 @@ void FusedEncode(const CoeffCache& cache, std::size_t block_size,
   const std::size_t k = cache.cols();
   const std::size_t m = cache.rows();
   assert(srcs.size() == k && dsts.size() == m);
+  assert(k < gf::kFieldSize);
   if (m == 0 || block_size == 0) return;
   if (k == 0) {
     for (std::byte* dst : dsts) std::memset(dst, 0, block_size);
@@ -101,30 +121,19 @@ void FusedEncode(const CoeffCache& cache, std::size_t block_size,
   obs::Counter& bytes = kernel_bytes(isa, /*fused=*/true);
 
   const std::size_t chunk = chunk_of(opts);
-  const std::size_t d = opts.prefetch_distance;
-  std::vector<const std::byte*> pf;
-  std::vector<const std::byte*> chunk_srcs(k);
+  // Both tables advance with the chunk: chunk_srcs[s] is source s at the
+  // chunk start, pf[s] that chunk's first-row prefetch target. Chunks
+  // end at pf_end, the first row whose targets would leave the block,
+  // and run plain from there (the plan's tail revert).
+  const std::byte* chunk_srcs[gf::kFieldSize];
+  const std::byte* pf[gf::kFieldSize];
+  std::copy(srcs.begin(), srcs.end(), chunk_srcs);
+  const std::size_t pf_end =
+      BuildPrefetchTable(srcs, block_size, opts.prefetch_distance, pf);
 
-  for (std::size_t off = 0; off < block_size; off += chunk) {
-    const std::size_t n = std::min(chunk, block_size - off);
-    for (std::size_t i = 0; i < k; ++i) chunk_srcs[i] = srcs[i] + off;
-    // Full chunks get the branchless prefetch-pointer array
-    // (section 4.2.2): line-task t is (source t / lines, line
-    // t % lines); entry t holds the address of task t + d, clamped to
-    // the last task, so the kernel issues one prefetch per line with
-    // no bounds test. When d mod lines != 0 the entries near a source
-    // boundary point into the next source's chunk — the paper's two
-    // offset groups fall out of the layout. Tail chunks run plain.
-    const bool full = n == chunk && d > 0;
-    const std::size_t lines = n / 64;
-    if (full) {
-      pf.resize(k * lines);
-      const std::size_t last = k * lines - 1;
-      for (std::size_t t = 0; t < k * lines; ++t) {
-        const std::size_t target = std::min(t + d, last);
-        pf[t] = srcs[target / lines] + off + (target % lines) * 64;
-      }
-    }
+  for (std::size_t off = 0, n = 0; off < block_size; off += n) {
+    const bool prefetch = off < pf_end;
+    n = std::min(chunk, (prefetch ? pf_end : block_size) - off);
     for (std::size_t j0 = 0; j0 < m; j0 += gf::kMaxFusedDst) {
       const std::size_t g = std::min(gf::kMaxFusedDst, m - j0);
       std::byte* group[gf::kMaxFusedDst];
@@ -132,10 +141,13 @@ void FusedEncode(const CoeffCache& cache, std::size_t block_size,
       // One dot-product call per parity group: all g accumulators live
       // in registers across the whole source loop (SET semantics, so
       // no pre-zeroing pass either).
-      gf::mul_dot_multi(cache.data() + j0, cache.stride(),
-                        chunk_srcs.data(), k, group, g, n,
-                        full ? pf.data() : nullptr, lines);
+      gf::mul_dot_multi(cache.data() + j0, cache.stride(), chunk_srcs, k,
+                        group, g, n, prefetch ? pf : nullptr);
       bytes.inc(static_cast<std::uint64_t>(n) * g * k);
+    }
+    for (std::size_t i = 0; i < k; ++i) chunk_srcs[i] += n;
+    if (off + n < pf_end) {
+      for (std::size_t i = 0; i < k; ++i) pf[i] += n;
     }
   }
 }

@@ -4,8 +4,8 @@
 // Execution engine: a fused, cache-blocked driver (FusedEncode) instead
 // of the naive O(k*m) formulation. The block is walked in L1-sized
 // chunks; within a chunk, up to gf::kMaxFusedDst parity accumulators
-// are held live while each source is streamed exactly once through
-// gf::mul_acc_multi — so for k=12,m=4 a parity chunk is written once
+// are held live in registers while every source streams through
+// gf::mul_dot_multi — so for k=12,m=4 a parity chunk is written once
 // per chunk instead of the whole parity block being re-read/re-written
 // k times, and each source chunk is read once per parity group instead
 // of m times. Coefficient tables come from a CoeffCache built once
@@ -13,12 +13,13 @@
 //
 // The driver also realizes the paper's section 4.2.2 branchless
 // software prefetch: when HostKernelOptions::prefetch_distance d > 0,
-// a prefetch-pointer array with one entry per 64 B line-task is built
-// per chunk — entry t holds the address of task t+d, clamped to the
-// last task — and handed to the kernels, which issue one
-// _mm_prefetch(T0) per line with no bounds branch. Tail chunks revert
-// to the plain kernel. DIALGA's planned distance reaches this layer
-// via dialga::Strategy::to_host_options().
+// a k-entry prefetch-pointer table is built once per call
+// (BuildPrefetchTable) in the kernel's own row-major load-task order —
+// the order ec::BuildRowPlan numbers the simulated tasks in — and
+// handed to the kernels, which issue one _mm_prefetch(T0) per (source,
+// line) with no bounds branch. Rows whose targets would fall past the
+// block end revert to the plain kernel. DIALGA's planned distance
+// reaches this layer via dialga::Strategy::to_host_options().
 #pragma once
 
 #include <cstddef>
@@ -33,8 +34,9 @@ namespace ec {
 /// Host-kernel tuning knobs, derived from the DIALGA strategy for the
 /// paper-guided paths and defaulted everywhere else.
 struct HostKernelOptions {
-  /// Software-prefetch distance in 64 B line-tasks (the unit DIALGA
-  /// plans in). 0 disables the prefetch-pointer array entirely.
+  /// Software-prefetch distance in 64 B load tasks in row order (the
+  /// unit DIALGA plans in): d = k is one row ahead. 0 disables the
+  /// prefetch-pointer table entirely.
   std::size_t prefetch_distance = 0;
   /// Chunk size for the cache-blocked outer loop, rounded down to a
   /// 64 B multiple (minimum one line). Default keeps one source chunk
@@ -79,10 +81,27 @@ class CoeffCache {
   std::vector<gf::PreparedCoeff> coeffs_;
 };
 
+/// The section 4.2.2 prefetch-pointer table for one fused call over k =
+/// srcs.size() source blocks of block_size bytes. Load tasks are
+/// numbered in row order (task row * k + s loads 64 B line `row` of
+/// source s) and task n prefetches task n + d. With q = d / k and
+/// r = d % k, that is the paper's two offset groups:
+///   table[s] = srcs[s + r]     + 64 * q        for s <  k - r,
+///   table[s] = srcs[s + r - k] + 64 * (q + 1)  for s >= k - r,
+/// and row `row` of source s prefetches table[s] + 64 * row. Returns the
+/// byte length (a multiple of 64) of the block prefix whose rows have
+/// every target inside the source blocks; later rows — and every row
+/// when it returns 0 (d == 0, or d reaches past the block) — run
+/// without prefetch, and `table` is then left unwritten. `table` must
+/// hold k entries.
+std::size_t BuildPrefetchTable(std::span<const std::byte* const> srcs,
+                               std::size_t block_size, std::size_t distance,
+                               const std::byte** table);
+
 /// dsts[j][0..block_size) = sum_i cache.at(i, j) * srcs[i], computed by
 /// the fused cache-blocked driver described above. srcs.size() must be
-/// cache.cols(), dsts.size() cache.rows(); dst blocks must not alias
-/// the sources.
+/// cache.cols() (below gf::kFieldSize), dsts.size() cache.rows(); dst
+/// blocks must not alias the sources. Makes no heap allocation.
 void FusedEncode(const CoeffCache& cache, std::size_t block_size,
                  std::span<const std::byte* const> srcs,
                  std::span<std::byte* const> dsts,

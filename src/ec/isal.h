@@ -32,9 +32,11 @@ struct IsalPlanOptions {
   /// (DIALGA section 4.2.2, the fine-grained HW prefetcher "switch").
   bool shuffle_rows = false;
 
-  /// Pipelined software prefetch distance in load-tasks (0 = off). The
-  /// prefetch address for task n is task n+d's line — the branchless
-  /// prefetch-pointer-array construction of section 4.2.2.
+  /// Pipelined software prefetch distance in load tasks in row order
+  /// (0 = off): d = k is one row ahead. The prefetch address for task n
+  /// is task n+d's line — the branchless prefetch-pointer construction
+  /// of section 4.2.2, which the host driver realizes with the same
+  /// targets (ec::BuildPrefetchTable).
   std::size_t prefetch_distance = 0;
 
   /// Buffer-friendly split distances (section 4.3.2): lines that open a

@@ -245,71 +245,69 @@ void xor_acc(const std::byte* src, std::byte* dst, std::size_t n) {
 }
 
 void mul_acc_multi(const PreparedCoeff* coeffs, const std::byte* src,
-                   std::byte* const* dsts, std::size_t ndst, std::size_t n,
-                   const std::byte* const* prefetch) {
+                   std::byte* const* dsts, std::size_t ndst, std::size_t n) {
   switch (active_isa()) {
 #if defined(__x86_64__)
 #if DIALGA_HAVE_GFNI
     case IsaLevel::kGfni:
-      detail::mul_acc_multi_gfni(coeffs, src, dsts, ndst, n, prefetch);
+      detail::mul_acc_multi_gfni(coeffs, src, dsts, ndst, n);
       return;
 #endif
 #if DIALGA_HAVE_AVX512
     case IsaLevel::kAvx512:
-      detail::mul_acc_multi_avx512(coeffs, src, dsts, ndst, n, prefetch);
+      detail::mul_acc_multi_avx512(coeffs, src, dsts, ndst, n);
       return;
 #endif
 #if DIALGA_HAVE_AVX2
     case IsaLevel::kAvx2:
-      detail::mul_acc_multi_avx2(coeffs, src, dsts, ndst, n, prefetch);
+      detail::mul_acc_multi_avx2(coeffs, src, dsts, ndst, n);
       return;
 #endif
 #if DIALGA_HAVE_SSSE3
     case IsaLevel::kSsse3:
-      detail::mul_acc_multi_ssse3(coeffs, src, dsts, ndst, n, prefetch);
+      detail::mul_acc_multi_ssse3(coeffs, src, dsts, ndst, n);
       return;
 #endif
 #endif
     default:
-      detail::mul_acc_multi_scalar(coeffs, src, dsts, ndst, n, prefetch);
+      detail::mul_acc_multi_scalar(coeffs, src, dsts, ndst, n);
   }
 }
 
 void mul_dot_multi(const PreparedCoeff* coeffs, std::size_t coeff_stride,
                    const std::byte* const* srcs, std::size_t nsrc,
                    std::byte* const* dsts, std::size_t ndst, std::size_t n,
-                   const std::byte* const* prefetch,
-                   std::size_t prefetch_stride) {
+                   const std::byte* const* prefetch) {
   switch (active_isa()) {
 #if defined(__x86_64__)
 #if DIALGA_HAVE_GFNI
     case IsaLevel::kGfni:
       detail::mul_dot_multi_gfni(coeffs, coeff_stride, srcs, nsrc, dsts,
-                                 ndst, n, prefetch, prefetch_stride);
+                                 ndst, n, prefetch);
       return;
 #endif
 #if DIALGA_HAVE_AVX512
     case IsaLevel::kAvx512:
       detail::mul_dot_multi_avx512(coeffs, coeff_stride, srcs, nsrc, dsts,
-                                   ndst, n, prefetch, prefetch_stride);
+                                   ndst, n, prefetch);
       return;
 #endif
 #if DIALGA_HAVE_AVX2
     case IsaLevel::kAvx2:
       detail::mul_dot_multi_avx2(coeffs, coeff_stride, srcs, nsrc, dsts,
-                                 ndst, n, prefetch, prefetch_stride);
+                                 ndst, n, prefetch);
       return;
 #endif
 #if DIALGA_HAVE_SSSE3
     case IsaLevel::kSsse3:
       detail::mul_dot_multi_ssse3(coeffs, coeff_stride, srcs, nsrc, dsts,
-                                  ndst, n, prefetch, prefetch_stride);
+                                  ndst, n, prefetch);
       return;
 #endif
 #endif
     default:
       detail::mul_dot_multi_scalar(coeffs, coeff_stride, srcs, nsrc, dsts,
-                                   ndst, n, prefetch, prefetch_stride);
+                                   ndst, n, prefetch);
   }
 }
 
@@ -335,37 +333,45 @@ void xor_acc_scalar(const std::byte* src, std::byte* dst, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
 }
 
-void mul_acc_multi_scalar(const PreparedCoeff* coeffs, const std::byte* src,
+namespace {
+/// dsts[t][begin..end) ^= coeffs[t] * src[begin..end).
+void mul_acc_range_scalar(const PreparedCoeff* coeffs, const std::byte* src,
                           std::byte* const* dsts, std::size_t ndst,
-                          std::size_t n, const std::byte* const* prefetch) {
-  for (std::size_t line = 0; line * 64 < n; ++line) {
-    if (prefetch != nullptr) __builtin_prefetch(prefetch[line], 0, 3);
-    const std::size_t end = std::min(n, (line + 1) * 64);
-    for (std::size_t i = line * 64; i < end; ++i) {
-      const u8 x = static_cast<u8>(src[i]);
-      const unsigned lo = x & 0xf, hi = x >> 4;
-      for (std::size_t t = 0; t < ndst; ++t) {
-        dsts[t][i] ^= static_cast<std::byte>(coeffs[t].split.lo[lo] ^
-                                             coeffs[t].split.hi[hi]);
-      }
+                          std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const u8 x = static_cast<u8>(src[i]);
+    const unsigned lo = x & 0xf, hi = x >> 4;
+    for (std::size_t t = 0; t < ndst; ++t) {
+      dsts[t][i] ^= static_cast<std::byte>(coeffs[t].split.lo[lo] ^
+                                           coeffs[t].split.hi[hi]);
     }
   }
+}
+}  // namespace
+
+void mul_acc_multi_scalar(const PreparedCoeff* coeffs, const std::byte* src,
+                          std::byte* const* dsts, std::size_t ndst,
+                          std::size_t n) {
+  mul_acc_range_scalar(coeffs, src, dsts, ndst, 0, n);
 }
 
 void mul_dot_multi_scalar(const PreparedCoeff* coeffs,
                           std::size_t coeff_stride,
                           const std::byte* const* srcs, std::size_t nsrc,
                           std::byte* const* dsts, std::size_t ndst,
-                          std::size_t n, const std::byte* const* prefetch,
-                          std::size_t prefetch_stride) {
+                          std::size_t n, const std::byte* const* prefetch) {
   // Zero-then-accumulate realizes the SET semantics; also the bit-
-  // exactness reference the SIMD backends are tested against.
+  // exactness reference the SIMD backends are tested against. Walked
+  // line-major like the SIMD backends, so the prefetch table is
+  // consumed in the same load-task order.
   for (std::size_t t = 0; t < ndst; ++t) std::memset(dsts[t], 0, n);
-  for (std::size_t s = 0; s < nsrc; ++s) {
-    const std::byte* const* line_pf =
-        prefetch != nullptr ? prefetch + s * prefetch_stride : nullptr;
-    mul_acc_multi_scalar(coeffs + s * coeff_stride, srcs[s], dsts, ndst, n,
-                         line_pf);
+  for (std::size_t begin = 0; begin < n; begin += 64) {
+    const std::size_t end = std::min(n, begin + 64);
+    for (std::size_t s = 0; s < nsrc; ++s) {
+      if (prefetch != nullptr) __builtin_prefetch(prefetch[s] + begin, 0, 3);
+      mul_acc_range_scalar(coeffs + s * coeff_stride, srcs[s], dsts, ndst,
+                           begin, end);
+    }
   }
 }
 

@@ -15,10 +15,11 @@
 // source: the source vector and its nibble split are loaded once and
 // reused for every destination, which is the ISA-L
 // gf_Nvect_mad/dot_prod structure the fused encode driver
-// (ec/codec_util.h) is built on. The optional prefetch-pointer array
-// realizes the paper's branchless software prefetch (section 4.2.2)
-// inside the kernel loop: one _mm_prefetch per 64 B line, address taken
-// from a pre-built array, no branches on the hot path.
+// (ec/codec_util.h) is built on. mul_dot_multi's optional
+// prefetch-pointer table realizes the paper's branchless software
+// prefetch (section 4.2.2) inside the kernel loop: one _mm_prefetch per
+// (source, 64 B line), address taken from a pre-built per-source table,
+// no distance arithmetic or bounds test on the hot path.
 #pragma once
 
 #include <array>
@@ -102,14 +103,9 @@ inline constexpr std::size_t kMaxFusedDst = 4;
 
 /// dsts[t][0..n) ^= coeffs[t] * src[0..n) for t in [0, ndst), in ONE
 /// pass over src with all ndst accumulators live. ndst must be in
-/// [1, kMaxFusedDst]. `prefetch`, when non-null, is an array of one
-/// pointer per started 64 B line of src (ceil(n / 64) entries, already
-/// offset by the caller's prefetch distance); the kernel issues
-/// _mm_prefetch(prefetch[line], T0) as it enters each line, branch-free
-/// because the driver pads the array instead of testing bounds.
+/// [1, kMaxFusedDst].
 void mul_acc_multi(const PreparedCoeff* coeffs, const std::byte* src,
-                   std::byte* const* dsts, std::size_t ndst, std::size_t n,
-                   const std::byte* const* prefetch = nullptr);
+                   std::byte* const* dsts, std::size_t ndst, std::size_t n);
 
 /// Full dot product with register-resident accumulators — the ISA-L
 /// gf_Nvect_dot_prod structure:
@@ -123,16 +119,17 @@ void mul_acc_multi(const PreparedCoeff* coeffs, const std::byte* src,
 ///
 /// `coeff_stride` is the distance between consecutive sources in
 /// `coeffs` (codec caches store coefficients source-major with stride
-/// m). `prefetch`, when non-null, holds nsrc * prefetch_stride
-/// pointers laid out source-major (prefetch_stride = ceil(n / 64)
-/// entries per source, already offset by the caller's prefetch
-/// distance); entering 64 B line `l` of source `s` issues
-/// _mm_prefetch(prefetch[s * prefetch_stride + l], T0), branch-free.
+/// m). `prefetch`, when non-null, holds nsrc pointers: entering 64 B
+/// line `l` of source `s` issues _mm_prefetch(prefetch[s] + 64 * l,
+/// T0). The kernels walk line-major (every source's line l, then line
+/// l + 1), which is the row order the paper numbers load tasks in, so a
+/// distance of d load tasks is one table entry per source: d = k is one
+/// row ahead (ec::BuildPrefetchTable). Every such address must lie
+/// inside a caller-owned buffer for each line the call starts.
 void mul_dot_multi(const PreparedCoeff* coeffs, std::size_t coeff_stride,
                    const std::byte* const* srcs, std::size_t nsrc,
                    std::byte* const* dsts, std::size_t ndst, std::size_t n,
-                   const std::byte* const* prefetch = nullptr,
-                   std::size_t prefetch_stride = 0);
+                   const std::byte* const* prefetch = nullptr);
 
 namespace detail {
 void mul_acc_scalar(const SplitTable& t, const std::byte* src, std::byte* dst,
@@ -142,13 +139,12 @@ void mul_set_scalar(const SplitTable& t, const std::byte* src, std::byte* dst,
 void xor_acc_scalar(const std::byte* src, std::byte* dst, std::size_t n);
 void mul_acc_multi_scalar(const PreparedCoeff* coeffs, const std::byte* src,
                           std::byte* const* dsts, std::size_t ndst,
-                          std::size_t n, const std::byte* const* prefetch);
+                          std::size_t n);
 void mul_dot_multi_scalar(const PreparedCoeff* coeffs,
-                      std::size_t coeff_stride,
-                      const std::byte* const* srcs, std::size_t nsrc,
-                      std::byte* const* dsts, std::size_t ndst,
-                      std::size_t n, const std::byte* const* prefetch,
-                      std::size_t prefetch_stride);
+                          std::size_t coeff_stride,
+                          const std::byte* const* srcs, std::size_t nsrc,
+                          std::byte* const* dsts, std::size_t ndst,
+                          std::size_t n, const std::byte* const* prefetch);
 #if defined(__x86_64__)
 void mul_acc_ssse3(const SplitTable& t, const std::byte* src, std::byte* dst,
                    std::size_t n);
@@ -157,13 +153,12 @@ void mul_set_ssse3(const SplitTable& t, const std::byte* src, std::byte* dst,
 void xor_acc_ssse3(const std::byte* src, std::byte* dst, std::size_t n);
 void mul_acc_multi_ssse3(const PreparedCoeff* coeffs, const std::byte* src,
                          std::byte* const* dsts, std::size_t ndst,
-                         std::size_t n, const std::byte* const* prefetch);
+                         std::size_t n);
 void mul_dot_multi_ssse3(const PreparedCoeff* coeffs,
-                      std::size_t coeff_stride,
-                      const std::byte* const* srcs, std::size_t nsrc,
-                      std::byte* const* dsts, std::size_t ndst,
-                      std::size_t n, const std::byte* const* prefetch,
-                      std::size_t prefetch_stride);
+                         std::size_t coeff_stride,
+                         const std::byte* const* srcs, std::size_t nsrc,
+                         std::byte* const* dsts, std::size_t ndst,
+                         std::size_t n, const std::byte* const* prefetch);
 void mul_acc_avx2(const SplitTable& t, const std::byte* src, std::byte* dst,
                   std::size_t n);
 void mul_set_avx2(const SplitTable& t, const std::byte* src, std::byte* dst,
@@ -171,13 +166,12 @@ void mul_set_avx2(const SplitTable& t, const std::byte* src, std::byte* dst,
 void xor_acc_avx2(const std::byte* src, std::byte* dst, std::size_t n);
 void mul_acc_multi_avx2(const PreparedCoeff* coeffs, const std::byte* src,
                         std::byte* const* dsts, std::size_t ndst,
-                        std::size_t n, const std::byte* const* prefetch);
+                        std::size_t n);
 void mul_dot_multi_avx2(const PreparedCoeff* coeffs,
-                      std::size_t coeff_stride,
-                      const std::byte* const* srcs, std::size_t nsrc,
-                      std::byte* const* dsts, std::size_t ndst,
-                      std::size_t n, const std::byte* const* prefetch,
-                      std::size_t prefetch_stride);
+                        std::size_t coeff_stride,
+                        const std::byte* const* srcs, std::size_t nsrc,
+                        std::byte* const* dsts, std::size_t ndst,
+                        std::size_t n, const std::byte* const* prefetch);
 // AVX-512BW: 64 B per step, compiled with function-level target
 // attributes in gf_simd_avx512.cc so the rest of the binary stays
 // portable.
@@ -188,13 +182,12 @@ void mul_set_avx512(const SplitTable& t, const std::byte* src, std::byte* dst,
 void xor_acc_avx512(const std::byte* src, std::byte* dst, std::size_t n);
 void mul_acc_multi_avx512(const PreparedCoeff* coeffs, const std::byte* src,
                           std::byte* const* dsts, std::size_t ndst,
-                          std::size_t n, const std::byte* const* prefetch);
+                          std::size_t n);
 void mul_dot_multi_avx512(const PreparedCoeff* coeffs,
-                      std::size_t coeff_stride,
-                      const std::byte* const* srcs, std::size_t nsrc,
-                      std::byte* const* dsts, std::size_t ndst,
-                      std::size_t n, const std::byte* const* prefetch,
-                      std::size_t prefetch_stride);
+                          std::size_t coeff_stride,
+                          const std::byte* const* srcs, std::size_t nsrc,
+                          std::byte* const* dsts, std::size_t ndst,
+                          std::size_t n, const std::byte* const* prefetch);
 // GFNI: one VGF2P8AFFINEQB per vector instead of the 5-op nibble
 // sequence. 256-bit VEX forms only (gated on gfni + avx2), so the
 // backend also serves client CPUs that ship GFNI without AVX-512.
@@ -204,13 +197,12 @@ void mul_set_gfni(const PreparedCoeff& c, const std::byte* src,
                   std::byte* dst, std::size_t n);
 void mul_acc_multi_gfni(const PreparedCoeff* coeffs, const std::byte* src,
                         std::byte* const* dsts, std::size_t ndst,
-                        std::size_t n, const std::byte* const* prefetch);
+                        std::size_t n);
 void mul_dot_multi_gfni(const PreparedCoeff* coeffs,
-                      std::size_t coeff_stride,
-                      const std::byte* const* srcs, std::size_t nsrc,
-                      std::byte* const* dsts, std::size_t ndst,
-                      std::size_t n, const std::byte* const* prefetch,
-                      std::size_t prefetch_stride);
+                        std::size_t coeff_stride,
+                        const std::byte* const* srcs, std::size_t nsrc,
+                        std::byte* const* dsts, std::size_t ndst,
+                        std::size_t n, const std::byte* const* prefetch);
 #endif
 }  // namespace detail
 

@@ -89,8 +89,7 @@ namespace {
 template <std::size_t N>
 void mul_acc_multi_avx512_impl(const PreparedCoeff* coeffs,
                                const std::byte* src, std::byte* const* dsts,
-                               std::size_t n,
-                               const std::byte* const* prefetch) {
+                               std::size_t n) {
   __m512i tlo[N];
   __m512i thi[N];
   for (std::size_t t = 0; t < N; ++t) {
@@ -99,10 +98,6 @@ void mul_acc_multi_avx512_impl(const PreparedCoeff* coeffs,
   }
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
-    if (prefetch != nullptr) {
-      _mm_prefetch(reinterpret_cast<const char*>(prefetch[i / 64]),
-                   _MM_HINT_T0);
-    }
     const __m512i x = _mm512_loadu_si512(src + i);
     for (std::size_t t = 0; t < N; ++t) {
       __m512i d = _mm512_loadu_si512(dsts[t] + i);
@@ -111,10 +106,6 @@ void mul_acc_multi_avx512_impl(const PreparedCoeff* coeffs,
     }
   }
   if (i < n) {
-    if (prefetch != nullptr) {
-      _mm_prefetch(reinterpret_cast<const char*>(prefetch[i / 64]),
-                   _MM_HINT_T0);
-    }
     const __mmask64 k = tail_mask(n - i);
     const __m512i x = _mm512_maskz_loadu_epi8(k, src + i);
     for (std::size_t t = 0; t < N; ++t) {
@@ -128,19 +119,19 @@ void mul_acc_multi_avx512_impl(const PreparedCoeff* coeffs,
 
 void mul_acc_multi_avx512(const PreparedCoeff* coeffs, const std::byte* src,
                           std::byte* const* dsts, std::size_t ndst,
-                          std::size_t n, const std::byte* const* prefetch) {
+                          std::size_t n) {
   switch (ndst) {
     case 1:
-      mul_acc_multi_avx512_impl<1>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_avx512_impl<1>(coeffs, src, dsts, n);
       break;
     case 2:
-      mul_acc_multi_avx512_impl<2>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_avx512_impl<2>(coeffs, src, dsts, n);
       break;
     case 3:
-      mul_acc_multi_avx512_impl<3>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_avx512_impl<3>(coeffs, src, dsts, n);
       break;
     default:
-      mul_acc_multi_avx512_impl<4>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_avx512_impl<4>(coeffs, src, dsts, n);
       break;
   }
 }
@@ -155,18 +146,15 @@ void mul_dot_multi_avx512_impl(const PreparedCoeff* coeffs,
                                const std::byte* const* srcs,
                                std::size_t nsrc, std::byte* const* dsts,
                                std::size_t n,
-                               const std::byte* const* prefetch,
-                               std::size_t prefetch_stride) {
+                               const std::byte* const* prefetch) {
   for (std::size_t i = 0; i < n; i += 64) {
     const std::size_t rem = n - i;
     const __mmask64 k = rem >= 64 ? ~__mmask64{0} : tail_mask(rem);
-    const std::size_t line = i / 64;
     __m512i acc[N];
     for (std::size_t t = 0; t < N; ++t) acc[t] = _mm512_setzero_si512();
     for (std::size_t s = 0; s < nsrc; ++s) {
       if (prefetch != nullptr) {
-        _mm_prefetch(reinterpret_cast<const char*>(
-                         prefetch[s * prefetch_stride + line]),
+        _mm_prefetch(reinterpret_cast<const char*>(prefetch[s] + i),
                      _MM_HINT_T0);
       }
       const __m512i x = _mm512_maskz_loadu_epi8(k, srcs[s] + i);
@@ -188,24 +176,23 @@ void mul_dot_multi_avx512(const PreparedCoeff* coeffs,
                           std::size_t coeff_stride,
                           const std::byte* const* srcs, std::size_t nsrc,
                           std::byte* const* dsts, std::size_t ndst,
-                          std::size_t n, const std::byte* const* prefetch,
-                          std::size_t prefetch_stride) {
+                          std::size_t n, const std::byte* const* prefetch) {
   switch (ndst) {
     case 1:
       mul_dot_multi_avx512_impl<1>(coeffs, coeff_stride, srcs, nsrc, dsts,
-                                   n, prefetch, prefetch_stride);
+                                   n, prefetch);
       break;
     case 2:
       mul_dot_multi_avx512_impl<2>(coeffs, coeff_stride, srcs, nsrc, dsts,
-                                   n, prefetch, prefetch_stride);
+                                   n, prefetch);
       break;
     case 3:
       mul_dot_multi_avx512_impl<3>(coeffs, coeff_stride, srcs, nsrc, dsts,
-                                   n, prefetch, prefetch_stride);
+                                   n, prefetch);
       break;
     default:
       mul_dot_multi_avx512_impl<4>(coeffs, coeff_stride, srcs, nsrc, dsts,
-                                   n, prefetch, prefetch_stride);
+                                   n, prefetch);
       break;
   }
 }

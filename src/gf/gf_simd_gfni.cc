@@ -54,18 +54,13 @@ namespace {
 // instruction + one XOR per vector.
 template <std::size_t N>
 void mul_acc_multi_gfni_impl(const PreparedCoeff* coeffs, const std::byte* src,
-                             std::byte* const* dsts, std::size_t n,
-                             const std::byte* const* prefetch) {
+                             std::byte* const* dsts, std::size_t n) {
   __m256i matrix[N];
   for (std::size_t t = 0; t < N; ++t) {
     matrix[t] = broadcast_matrix(coeffs[t].affine);
   }
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
-    if (prefetch != nullptr) {
-      _mm_prefetch(reinterpret_cast<const char*>(prefetch[i / 64]),
-                   _MM_HINT_T0);
-    }
     const __m256i x0 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
     const __m256i x1 =
@@ -81,10 +76,6 @@ void mul_acc_multi_gfni_impl(const PreparedCoeff* coeffs, const std::byte* src,
     }
   }
   if (i < n) {
-    if (prefetch != nullptr) {
-      _mm_prefetch(reinterpret_cast<const char*>(prefetch[i / 64]),
-                   _MM_HINT_T0);
-    }
     for (std::size_t t = 0; t < N; ++t) {
       mul_acc_gfni(coeffs[t], src + i, dsts[t] + i, n - i);
     }
@@ -94,19 +85,19 @@ void mul_acc_multi_gfni_impl(const PreparedCoeff* coeffs, const std::byte* src,
 
 void mul_acc_multi_gfni(const PreparedCoeff* coeffs, const std::byte* src,
                         std::byte* const* dsts, std::size_t ndst,
-                        std::size_t n, const std::byte* const* prefetch) {
+                        std::size_t n) {
   switch (ndst) {
     case 1:
-      mul_acc_multi_gfni_impl<1>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_gfni_impl<1>(coeffs, src, dsts, n);
       break;
     case 2:
-      mul_acc_multi_gfni_impl<2>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_gfni_impl<2>(coeffs, src, dsts, n);
       break;
     case 3:
-      mul_acc_multi_gfni_impl<3>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_gfni_impl<3>(coeffs, src, dsts, n);
       break;
     default:
-      mul_acc_multi_gfni_impl<4>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_gfni_impl<4>(coeffs, src, dsts, n);
       break;
   }
 }
@@ -115,24 +106,22 @@ namespace {
 // Dot-product pass, 32 B per tile: N ymm accumulators live across the
 // source loop; each (source, destination) contribution is one matrix
 // broadcast + one affine instruction + one XOR, and the parity arrays
-// see a single store per tile.
+// see a single store per tile. A tile that opens a 64 B line issues
+// that source's table prefetch, so prefetches run in load-task order.
 template <std::size_t N>
 void mul_dot_multi_gfni_impl(const PreparedCoeff* coeffs,
                              std::size_t coeff_stride,
                              const std::byte* const* srcs, std::size_t nsrc,
                              std::byte* const* dsts, std::size_t n,
-                             const std::byte* const* prefetch,
-                             std::size_t prefetch_stride) {
+                             const std::byte* const* prefetch) {
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     __m256i acc[N];
     for (std::size_t t = 0; t < N; ++t) acc[t] = _mm256_setzero_si256();
     const bool line_start = (i % 64) == 0;
-    const std::size_t line = i / 64;
     for (std::size_t s = 0; s < nsrc; ++s) {
       if (prefetch != nullptr && line_start) {
-        _mm_prefetch(reinterpret_cast<const char*>(
-                         prefetch[s * prefetch_stride + line]),
+        _mm_prefetch(reinterpret_cast<const char*>(prefetch[s] + i),
                      _MM_HINT_T0);
       }
       const __m256i x =
@@ -163,24 +152,23 @@ void mul_dot_multi_gfni(const PreparedCoeff* coeffs,
                         std::size_t coeff_stride,
                         const std::byte* const* srcs, std::size_t nsrc,
                         std::byte* const* dsts, std::size_t ndst,
-                        std::size_t n, const std::byte* const* prefetch,
-                        std::size_t prefetch_stride) {
+                        std::size_t n, const std::byte* const* prefetch) {
   switch (ndst) {
     case 1:
       mul_dot_multi_gfni_impl<1>(coeffs, coeff_stride, srcs, nsrc, dsts, n,
-                                 prefetch, prefetch_stride);
+                                 prefetch);
       break;
     case 2:
       mul_dot_multi_gfni_impl<2>(coeffs, coeff_stride, srcs, nsrc, dsts, n,
-                                 prefetch, prefetch_stride);
+                                 prefetch);
       break;
     case 3:
       mul_dot_multi_gfni_impl<3>(coeffs, coeff_stride, srcs, nsrc, dsts, n,
-                                 prefetch, prefetch_stride);
+                                 prefetch);
       break;
     default:
       mul_dot_multi_gfni_impl<4>(coeffs, coeff_stride, srcs, nsrc, dsts, n,
-                                 prefetch, prefetch_stride);
+                                 prefetch);
       break;
   }
 }

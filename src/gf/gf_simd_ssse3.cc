@@ -57,8 +57,7 @@ namespace {
 template <std::size_t N>
 void mul_acc_multi_ssse3_impl(const PreparedCoeff* coeffs,
                               const std::byte* src, std::byte* const* dsts,
-                              std::size_t n,
-                              const std::byte* const* prefetch) {
+                              std::size_t n) {
   __m128i tlo[N];
   __m128i thi[N];
   for (std::size_t t = 0; t < N; ++t) {
@@ -69,10 +68,6 @@ void mul_acc_multi_ssse3_impl(const PreparedCoeff* coeffs,
   }
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
-    if (prefetch != nullptr) {
-      _mm_prefetch(reinterpret_cast<const char*>(prefetch[i / 64]),
-                   _MM_HINT_T0);
-    }
     for (std::size_t v = 0; v < 64; v += 16) {
       const __m128i x =
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i + v));
@@ -85,10 +80,6 @@ void mul_acc_multi_ssse3_impl(const PreparedCoeff* coeffs,
     }
   }
   if (i < n) {
-    if (prefetch != nullptr) {
-      _mm_prefetch(reinterpret_cast<const char*>(prefetch[i / 64]),
-                   _MM_HINT_T0);
-    }
     for (std::size_t t = 0; t < N; ++t) {
       mul_acc_ssse3(coeffs[t].split, src + i, dsts[t] + i, n - i);
     }
@@ -98,19 +89,19 @@ void mul_acc_multi_ssse3_impl(const PreparedCoeff* coeffs,
 
 void mul_acc_multi_ssse3(const PreparedCoeff* coeffs, const std::byte* src,
                          std::byte* const* dsts, std::size_t ndst,
-                         std::size_t n, const std::byte* const* prefetch) {
+                         std::size_t n) {
   switch (ndst) {
     case 1:
-      mul_acc_multi_ssse3_impl<1>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_ssse3_impl<1>(coeffs, src, dsts, n);
       break;
     case 2:
-      mul_acc_multi_ssse3_impl<2>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_ssse3_impl<2>(coeffs, src, dsts, n);
       break;
     case 3:
-      mul_acc_multi_ssse3_impl<3>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_ssse3_impl<3>(coeffs, src, dsts, n);
       break;
     default:
-      mul_acc_multi_ssse3_impl<4>(coeffs, src, dsts, n, prefetch);
+      mul_acc_multi_ssse3_impl<4>(coeffs, src, dsts, n);
       break;
   }
 }
@@ -126,18 +117,15 @@ void mul_dot_multi_ssse3_impl(const PreparedCoeff* coeffs,
                               const std::byte* const* srcs,
                               std::size_t nsrc, std::byte* const* dsts,
                               std::size_t n,
-                              const std::byte* const* prefetch,
-                              std::size_t prefetch_stride) {
+                              const std::byte* const* prefetch) {
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     __m128i acc[N];
     for (std::size_t t = 0; t < N; ++t) acc[t] = _mm_setzero_si128();
     const bool line_start = (i % 64) == 0;
-    const std::size_t line = i / 64;
     for (std::size_t s = 0; s < nsrc; ++s) {
       if (prefetch != nullptr && line_start) {
-        _mm_prefetch(reinterpret_cast<const char*>(
-                         prefetch[s * prefetch_stride + line]),
+        _mm_prefetch(reinterpret_cast<const char*>(prefetch[s] + i),
                      _MM_HINT_T0);
       }
       const __m128i x =
@@ -171,24 +159,23 @@ void mul_dot_multi_ssse3(const PreparedCoeff* coeffs,
                          std::size_t coeff_stride,
                          const std::byte* const* srcs, std::size_t nsrc,
                          std::byte* const* dsts, std::size_t ndst,
-                         std::size_t n, const std::byte* const* prefetch,
-                         std::size_t prefetch_stride) {
+                         std::size_t n, const std::byte* const* prefetch) {
   switch (ndst) {
     case 1:
       mul_dot_multi_ssse3_impl<1>(coeffs, coeff_stride, srcs, nsrc, dsts, n,
-                                  prefetch, prefetch_stride);
+                                  prefetch);
       break;
     case 2:
       mul_dot_multi_ssse3_impl<2>(coeffs, coeff_stride, srcs, nsrc, dsts, n,
-                                  prefetch, prefetch_stride);
+                                  prefetch);
       break;
     case 3:
       mul_dot_multi_ssse3_impl<3>(coeffs, coeff_stride, srcs, nsrc, dsts, n,
-                                  prefetch, prefetch_stride);
+                                  prefetch);
       break;
     default:
       mul_dot_multi_ssse3_impl<4>(coeffs, coeff_stride, srcs, nsrc, dsts, n,
-                                  prefetch, prefetch_stride);
+                                  prefetch);
       break;
   }
 }

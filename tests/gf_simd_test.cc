@@ -264,38 +264,6 @@ TEST_P(IsaDifferentialTest, FusedMultiMatchesSequentialSingle) {
   }
 }
 
-TEST_P(IsaDifferentialTest, FusedMultiWithPrefetchArrayIsIdentical) {
-  // The prefetch-pointer array only moves cache fills; output must be
-  // bit-identical at any distance, including distances past the end
-  // (every entry then clamps to the last line).
-  const std::size_t n = 8192;
-  const auto src = RandomBytes(n, 81);
-  PreparedCoeff coeffs[4];
-  for (int t = 0; t < 4; ++t) {
-    coeffs[t] = prepare_coeff(static_cast<u8>(3 + 40 * t));
-  }
-  const std::size_t lines = n / 64;
-  for (const std::size_t d : {1ul, 4ul, 13ul, lines, 4 * lines}) {
-    std::vector<const std::byte*> pf(lines);
-    for (std::size_t t = 0; t < lines; ++t) {
-      pf[t] = src.data() + std::min(t + d, lines - 1) * 64;
-    }
-    std::vector<std::vector<std::byte>> got, want;
-    std::vector<std::byte*> gp, wp;
-    for (std::size_t t = 0; t < 4; ++t) {
-      got.push_back(RandomBytes(n, 91 + t));
-      want.push_back(got.back());
-      gp.push_back(got[t].data());
-      wp.push_back(want[t].data());
-    }
-    mul_acc_multi(coeffs, src.data(), gp.data(), 4, n, pf.data());
-    mul_acc_multi(coeffs, src.data(), wp.data(), 4, n, nullptr);
-    for (std::size_t t = 0; t < 4; ++t) {
-      ASSERT_EQ(got[t], want[t]) << isa_name(level_) << " d=" << d;
-    }
-  }
-}
-
 TEST_P(IsaDifferentialTest, DotMultiMatchesScalarReference) {
   // dst[t] = XOR_s c[s][t] * src[s], SET semantics, against a reference
   // assembled from the single-destination scalar kernels.
@@ -342,39 +310,46 @@ TEST_P(IsaDifferentialTest, DotMultiMatchesScalarReference) {
 }
 
 TEST_P(IsaDifferentialTest, DotMultiWithPrefetchArrayIsIdentical) {
-  // Source-major prefetch array at several distances: scheduling only,
-  // output bit-identical to the no-prefetch call.
-  const std::size_t n = 4096, nsrc = 6, ndst = 4;
-  const std::size_t lines = n / 64;
-  std::vector<std::vector<std::byte>> src_bufs;
-  std::vector<const std::byte*> srcs;
-  for (std::size_t s = 0; s < nsrc; ++s) {
-    src_bufs.push_back(RandomBytes(n, 400 + s));
-    srcs.push_back(src_bufs.back().data());
-  }
+  // k-entry prefetch table (line l of source s prefetches table[s] +
+  // 64 * l) built in row order at distances around one row ahead:
+  // scheduling only, output bit-identical to the no-prefetch call. Each
+  // source buffer carries three spare lines so every target of every
+  // started line stays inside it, including the partial last line.
+  const std::size_t nsrc = 6, ndst = 4, spare = 3 * 64;
   std::vector<PreparedCoeff> coeffs(nsrc * ndst);
   for (std::size_t i = 0; i < coeffs.size(); ++i) {
     coeffs[i] = prepare_coeff(static_cast<u8>(3 + 29 * i));
   }
-  std::vector<std::vector<std::byte>> ref(ndst, std::vector<std::byte>(n));
-  std::vector<std::byte*> rp;
-  for (auto& v : ref) rp.push_back(v.data());
-  mul_dot_multi(coeffs.data(), ndst, srcs.data(), nsrc, rp.data(), ndst, n);
-
-  for (const std::size_t d : {1ul, 7ul, lines, 2 * nsrc * lines}) {
-    std::vector<const std::byte*> pf(nsrc * lines);
-    const std::size_t last = nsrc * lines - 1;
-    for (std::size_t t = 0; t < pf.size(); ++t) {
-      const std::size_t target = std::min(t + d, last);
-      pf[t] = srcs[target / lines] + (target % lines) * 64;
+  for (const std::size_t n : {64ul, 1000ul, 4096ul}) {
+    std::vector<std::vector<std::byte>> src_bufs;
+    std::vector<const std::byte*> srcs;
+    for (std::size_t s = 0; s < nsrc; ++s) {
+      src_bufs.push_back(RandomBytes(n + spare, 400 + s));
+      srcs.push_back(src_bufs.back().data());
     }
-    std::vector<std::vector<std::byte>> got(ndst, std::vector<std::byte>(n));
-    std::vector<std::byte*> gp;
-    for (auto& v : got) gp.push_back(v.data());
-    mul_dot_multi(coeffs.data(), ndst, srcs.data(), nsrc, gp.data(), ndst,
-                  n, pf.data(), lines);
-    for (std::size_t t = 0; t < ndst; ++t) {
-      ASSERT_EQ(got[t], ref[t]) << isa_name(level_) << " d=" << d;
+    std::vector<std::vector<std::byte>> ref(ndst, std::vector<std::byte>(n));
+    std::vector<std::byte*> rp;
+    for (auto& v : ref) rp.push_back(v.data());
+    mul_dot_multi(coeffs.data(), ndst, srcs.data(), nsrc, rp.data(), ndst, n);
+
+    for (const std::size_t d :
+         {1ul, nsrc - 1, nsrc, nsrc + 1, 2 * nsrc + 3}) {
+      const std::size_t q = d / nsrc, r = d % nsrc;
+      std::vector<const std::byte*> pf(nsrc);
+      for (std::size_t s = 0; s < nsrc; ++s) {
+        pf[s] = s + r < nsrc ? srcs[s + r] + 64 * q
+                             : srcs[s + r - nsrc] + 64 * (q + 1);
+      }
+      std::vector<std::vector<std::byte>> got(ndst,
+                                              RandomBytes(n, 500 + d));
+      std::vector<std::byte*> gp;
+      for (auto& v : got) gp.push_back(v.data());
+      mul_dot_multi(coeffs.data(), ndst, srcs.data(), nsrc, gp.data(), ndst,
+                    n, pf.data());
+      for (std::size_t t = 0; t < ndst; ++t) {
+        ASSERT_EQ(got[t], ref[t])
+            << isa_name(level_) << " n=" << n << " d=" << d;
+      }
     }
   }
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "ec/codec_util.h"
@@ -195,25 +198,146 @@ TEST(IsalCodec, EncodeBitIdenticalAcrossIsaLevels) {
 
 TEST(IsalCodec, RoundTripAcrossPrefetchDistancesAndChunkSizes) {
   // Prefetch distance and chunk size tune scheduling only; encode and
-  // decode must stay bit-identical and round-trip at every setting.
-  const std::size_t k = 6, m = 3, bs = 8192;
-  const IsalCodec codec(k, m);
-  Blocks golden = MakeBlocks(k, m, bs, 77);
-  codec.encode(bs, golden.data_ptrs, golden.parity_ptrs);
+  // decode must stay bit-identical and round-trip at every setting. The
+  // shapes cover the wide k = 48 stripe around one row ahead (d = k) and
+  // a block that is not a 64 B multiple; the odd chunk sizes put the
+  // prefetched/plain split in the middle of a chunk.
+  struct Shape {
+    std::size_t k, m, bs;
+    std::vector<std::size_t> distances;
+  };
+  const Shape shapes[] = {
+      {6, 3, 8192, {0, 1, 8, 64, 10000}},
+      {48, 4, 16576, {47, 48, 49, 99}},
+      {12, 4, 4000, {1, 11, 12, 13, 27}},
+  };
+  for (const Shape& sh : shapes) {
+    const std::size_t k = sh.k, m = sh.m, bs = sh.bs;
+    const IsalCodec codec(k, m);
+    Blocks golden = MakeBlocks(k, m, bs, 77 + k);
+    codec.encode(bs, golden.data_ptrs, golden.parity_ptrs);
+    const std::vector<std::size_t> erasures{1, 4, k};
 
-  for (const std::size_t d : {0ul, 1ul, 8ul, 64ul, 10000ul}) {
-    for (const std::size_t chunk : {64ul, 1024ul, 16384ul, 65536ul}) {
-      const HostKernelOptions opts{d, chunk};
-      Blocks b = MakeBlocks(k, m, bs, 77);
-      codec.encode_with(bs, b.data_ptrs, b.parity_ptrs, opts);
-      ASSERT_EQ(b.storage, golden.storage) << "d=" << d << " chunk=" << chunk;
+    for (const std::size_t d : sh.distances) {
+      for (const std::size_t chunk :
+           {64ul, 1000ul, 1024ul, 4032ul, 16384ul, 65536ul}) {
+        const HostKernelOptions opts{d, chunk};
+        Blocks b = MakeBlocks(k, m, bs, 77 + k);
+        codec.encode_with(bs, b.data_ptrs, b.parity_ptrs, opts);
+        ASSERT_EQ(b.storage, golden.storage)
+            << "k=" << k << " bs=" << bs << " d=" << d << " chunk=" << chunk;
 
-      std::fill(b.storage[1].begin(), b.storage[1].end(), std::byte{0xEE});
-      std::fill(b.storage[4].begin(), b.storage[4].end(), std::byte{0xEE});
-      std::fill(b.storage[k].begin(), b.storage[k].end(), std::byte{0xEE});
-      const std::vector<std::size_t> erasures{1, 4, k};
-      ASSERT_TRUE(codec.decode_with(bs, b.all_ptrs, erasures, opts));
-      ASSERT_EQ(b.storage, golden.storage) << "d=" << d << " chunk=" << chunk;
+        for (const std::size_t e : erasures) {
+          std::fill(b.storage[e].begin(), b.storage[e].end(), std::byte{0xEE});
+        }
+        ASSERT_TRUE(codec.decode_with(bs, b.all_ptrs, erasures, opts));
+        ASSERT_EQ(b.storage, golden.storage)
+            << "k=" << k << " bs=" << bs << " d=" << d << " chunk=" << chunk;
+      }
+    }
+  }
+}
+
+// Source blocks of `bs` bytes with a one-line gap between neighbours,
+// so a prefetch target that ran past one block's end would land in no
+// block at all.
+struct SpacedSources {
+  std::size_t bs;
+  std::vector<std::byte> buf;
+  std::vector<const std::byte*> srcs;
+
+  SpacedSources(std::size_t k, std::size_t block)
+      : bs(block), buf(k * (block + 64)) {
+    for (std::size_t s = 0; s < k; ++s) srcs.push_back(buf.data() + s * (bs + 64));
+  }
+  /// (source, offset) of an address inside a source block, or nullopt.
+  std::optional<std::pair<std::size_t, std::size_t>> locate(
+      const std::byte* p) const {
+    if (p < buf.data()) return std::nullopt;
+    const auto a = static_cast<std::size_t>(p - buf.data());
+    const std::size_t s = a / (bs + 64);
+    const std::size_t off = a % (bs + 64);
+    if (s >= srcs.size() || off >= bs) return std::nullopt;
+    return std::pair{s, off};
+  }
+};
+
+TEST(PrefetchTable, MatchesTheRowPlanOnEveryPrefetchedRow) {
+  // The host's section 4.2.2 table and the simulated plan number load
+  // tasks the same way (row-major, n = row * k + s), so on every row the
+  // host prefetches, its target for load (row, s) must be the kPrefetch
+  // op BuildRowPlan emits right before that load. Plain plans only: no
+  // shuffle, widening, split distances or tail offset.
+  for (const std::size_t k : {1ul, 4ul, 12ul, 48ul}) {
+    std::vector<std::size_t> sources(k);
+    std::iota(sources.begin(), sources.end(), 0);
+    const std::vector<std::size_t> targets{k};
+    for (const std::size_t bs : {64ul, 4096ul, 16576ul, 65536ul}) {
+      const std::size_t rows = bs / 64;
+      const SpacedSources blocks(k, bs);
+      for (const std::size_t d :
+           {1ul, k - 1, k, k + 1, 2 * k + 3, k * rows - 1, k * rows}) {
+        std::vector<const std::byte*> table(k);
+        const std::size_t pf_end =
+            BuildPrefetchTable(blocks.srcs, bs, d, table.data());
+        ASSERT_EQ(pf_end % 64, 0u);
+        ASSERT_LE(pf_end, bs);
+        const std::size_t host_rows = pf_end / 64;
+
+        IsalPlanOptions opts;
+        opts.prefetch_distance = d;
+        const EncodePlan plan =
+            BuildRowPlan(bs, sources, targets, k, 1, 1.0, opts);
+        std::optional<PlanOp> pending;
+        std::size_t checked = 0;
+        for (const PlanOp& op : plan.ops) {
+          if (op.kind == PlanOp::Kind::kPrefetch) pending = op;
+          if (op.kind != PlanOp::Kind::kLoad) continue;
+          const std::size_t row = op.offset / 64, s = op.block;
+          if (row < host_rows) {
+            const auto host = blocks.locate(table[s] + 64 * row);
+            ASSERT_TRUE(host.has_value());
+            ASSERT_TRUE(pending.has_value())
+                << "k=" << k << " bs=" << bs << " d=" << d << " row=" << row;
+            EXPECT_EQ(host->first, pending->block)
+                << "k=" << k << " bs=" << bs << " d=" << d << " row=" << row
+                << " s=" << s;
+            EXPECT_EQ(host->second, pending->offset)
+                << "k=" << k << " bs=" << bs << " d=" << d << " row=" << row
+                << " s=" << s;
+            ++checked;
+          }
+          pending.reset();
+        }
+        EXPECT_EQ(checked, host_rows * k) << "k=" << k << " d=" << d;
+        // The host only drops rows at the tail: every row the plan
+        // prefetches in full, the host prefetches too.
+        const std::size_t ahead = (d + k - 1) / k;
+        EXPECT_EQ(host_rows, d == 0 || ahead >= rows ? 0 : rows - ahead)
+            << "k=" << k << " bs=" << bs << " d=" << d;
+      }
+    }
+  }
+}
+
+TEST(PrefetchTable, EveryTargetLiesInsideTheSourceBlocks) {
+  for (const std::size_t k : {1ul, 4ul, 12ul, 48ul}) {
+    for (const std::size_t bs : {64ul, 100ul, 4000ul, 4096ul, 16576ul}) {
+      const std::size_t rows = (bs + 63) / 64;
+      const SpacedSources blocks(k, bs);
+      for (const std::size_t d :
+           {1ul, k - 1, k, k + 1, 2 * k + 3, k * rows - 1, k * rows}) {
+        std::vector<const std::byte*> table(k);
+        const std::size_t pf_end =
+            BuildPrefetchTable(blocks.srcs, bs, d, table.data());
+        for (std::size_t row = 0; row < pf_end / 64; ++row) {
+          for (std::size_t s = 0; s < k; ++s) {
+            ASSERT_TRUE(blocks.locate(table[s] + 64 * row).has_value())
+                << "k=" << k << " bs=" << bs << " d=" << d << " row=" << row
+                << " s=" << s;
+          }
+        }
+      }
     }
   }
 }
