@@ -33,16 +33,15 @@
 // (checksum verification off vs on, best of three reps; target <= 5%
 // overhead). Series lands as bench_svc_throughput_integrity.csv.
 //
-// --phase-shift runs the learned-selection acceptance measurement: a
-// workload alternating two shapes (1-thread vs 16-thread encode of the
-// same RS(12,4)/1KB stripes) over one persistent simulated memory
-// system, three ways — hill-climb-only baseline, learned selector cold
-// (empty plan cache), learned selector warm (plan cache populated by
-// the cold run). Gates: the learned selector reaches within 5 % of each
-// phase's steady-state throughput in <= 3 sampling windows once both
-// shapes have been seen; the warm run replays the cached plans with 0
-// fallback invocations; and two warm runs produce bit-identical
-// decision streams. Series lands as
+// --phase-shift runs the plan-cache acceptance measurement: a workload
+// alternating two shapes (1-thread vs 16-thread encode of the same
+// RS(12,4)/1KB stripes) over one persistent simulated memory system,
+// three ways — hill-climb-only baseline, plan cache cold (empty cache),
+// plan cache warm (cache populated by the cold run). Gates: the cold
+// run reaches within 5 % of each phase's steady-state throughput in
+// <= 3 sampling windows once both shapes have been seen; the warm run
+// replays the cached plans with 0 fallback invocations; and two warm
+// runs produce bit-identical decision streams. Series lands as
 // bench_svc_throughput_selector.csv under DIALGA_CSV_DIR.
 //
 // --qos runs the bandwidth-governor acceptance measurement: a mixed
@@ -845,7 +844,7 @@ int RunQos(double run_seconds) {
 }
 
 // --------------------------------------------------------------------
-// --phase-shift: learned-selection acceptance (ROADMAP item 1).
+// --phase-shift: plan-cache acceptance.
 
 /// One phase's outcome under one selection mode.
 struct PhaseOutcome {
@@ -854,12 +853,11 @@ struct PhaseOutcome {
   std::size_t to_95 = 0;        ///< windows until >= 95 % of steady state
   double steady_gbps = 0.0;     ///< median of the phase's last half
   std::size_t cache_hits = 0;   ///< windows decided by the plan cache
-  std::size_t predicted = 0;    ///< windows decided by the predictor
 };
 
 struct ShiftRun {
   std::vector<PhaseOutcome> phases;
-  std::vector<std::pair<std::uint64_t, int>> decisions;  ///< replay stream
+  std::vector<std::pair<std::uint64_t, bool>> decisions;  ///< replay stream
   std::uint64_t fallbacks = 0;  ///< selector fallback windows (whole run)
 };
 
@@ -923,10 +921,10 @@ ShiftRun RunShiftWorkload(const dialga::SelectorOptions& sel) {
       for (std::size_t p = 0; p < phase_start.size(); ++p) {
         if (i >= phase_start[p]) phase = static_cast<int>(p);
       }
-      std::printf("dbg phase=%d w=%zu gbps=%.3f key=%llu src=%d\n", phase, i,
-                  windows[i].gbps,
+      std::printf("dbg phase=%d w=%zu gbps=%.3f key=%llu cache=%d\n", phase,
+                  i, windows[i].gbps,
                   static_cast<unsigned long long>(windows[i].strategy_key),
-                  static_cast<int>(windows[i].source));
+                  windows[i].cache_hit ? 1 : 0);
     }
   }
   for (int p = 0; p < kShiftPhases; ++p) {
@@ -956,16 +954,12 @@ ShiftRun RunShiftWorkload(const dialga::SelectorOptions& sel) {
       }
     }
     for (std::size_t i = lo; i < hi; ++i) {
-      if (windows[i].source == dialga::DecisionSource::kCacheHit) {
-        ++out.cache_hits;
-      } else if (windows[i].source == dialga::DecisionSource::kPredicted) {
-        ++out.predicted;
-      }
+      if (windows[i].cache_hit) ++out.cache_hits;
     }
     run.phases.push_back(out);
   }
   for (const dialga::WindowRecord& w : windows) {
-    run.decisions.emplace_back(w.strategy_key, static_cast<int>(w.source));
+    run.decisions.emplace_back(w.strategy_key, w.cache_hit);
   }
   if (const dialga::StrategySelector* s = provider->coordinator().selector()) {
     run.fallbacks = s->stats().fallbacks;
@@ -982,11 +976,10 @@ int RunPhaseShift() {
   // Hill-climb-only baseline: selector disabled.
   const ShiftRun baseline = RunShiftWorkload(dialga::SelectorOptions{});
 
-  // Learned, cold: empty plan cache, full exploration allowed. Its
-  // graceful-shutdown flush (provider teardown) populates the cache.
+  // Learned, cold: empty plan cache, the hill climb decides every miss.
+  // Its graceful-shutdown flush (provider teardown) populates the cache.
   dialga::SelectorOptions cold;
   cold.enabled = true;
-  cold.seed = 1;
   cold.plan_cache_path = cache_path;
   const ShiftRun learned = RunShiftWorkload(cold);
 
@@ -1006,16 +999,14 @@ int RunPhaseShift() {
   const ShiftRun warm2 = RunShiftWorkload(warm);
 
   bench_util::Table table({"mode", "phase", "threads", "windows", "to_95",
-                           "steady_gbps", "cache_hits", "predicted",
-                           "fallbacks"});
+                           "steady_gbps", "cache_hits", "fallbacks"});
   const auto rows = [&table](const char* mode, const ShiftRun& r) {
     for (std::size_t p = 0; p < r.phases.size(); ++p) {
       const PhaseOutcome& o = r.phases[p];
       table.row({mode, std::to_string(p), std::to_string(o.nthreads),
                  std::to_string(o.windows), std::to_string(o.to_95),
                  bench_util::Table::num(o.steady_gbps, 3),
-                 std::to_string(o.cache_hits), std::to_string(o.predicted),
-                 std::to_string(r.fallbacks)});
+                 std::to_string(o.cache_hits), std::to_string(r.fallbacks)});
     }
   };
   rows("hill_climb", baseline);

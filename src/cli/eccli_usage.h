@@ -103,18 +103,15 @@ inline constexpr char kUsageText[] =
     "                    read from DIALGA_AIO; a forced uring on a "
     "kernel without\n"
     "                    io_uring falls back to stdio with a warning)\n"
-    "  --plan-cache F    enable learned strategy selection with a "
-    "persistent plan\n"
-    "                    cache at F: converged prefetch strategies are "
-    "replayed on\n"
-    "                    warm runs instead of re-searched (also read "
-    "from\n"
-    "                    DIALGA_PLAN_CACHE; see docs/learned_selection"
-    ".md); a\n"
-    "                    corrupt cache file is ignored and rebuilt\n"
-    "  --no-learn        freeze the learned selector: replay committed "
-    "plans but\n"
-    "                    never update weights or write the plan cache\n"
+    "  --plan-cache F    replay prefetch strategies from the "
+    "persistent plan cache\n"
+    "                    at F: a shape with a committed entry runs it "
+    "instead of\n"
+    "                    the initial strategy (also read from "
+    "DIALGA_PLAN_CACHE;\n"
+    "                    see docs/learned_selection.md); the file is "
+    "only read, and\n"
+    "                    a corrupt one is ignored with a warning\n"
     "cluster mode:\n"
     "  --cluster-nodes N run the command against an in-process "
     "cluster of N\n"

@@ -64,12 +64,6 @@ struct CoordMetrics {
 
 Coordinator::Coordinator(const PatternInfo& pattern, const Features& features,
                          const Thresholds& thresholds,
-                         std::size_t pm_buffer_bytes)
-    : Coordinator(pattern, features, thresholds, pm_buffer_bytes,
-                  SelectorOptions{}) {}
-
-Coordinator::Coordinator(const PatternInfo& pattern, const Features& features,
-                         const Thresholds& thresholds,
                          std::size_t pm_buffer_bytes,
                          const SelectorOptions& selector)
     : pattern_(pattern),
@@ -79,8 +73,8 @@ Coordinator::Coordinator(const PatternInfo& pattern, const Features& features,
       climber_(SeedDistance(pattern.k), kMinDistance, kMaxDistance) {
   // UpdateBaseline takes the minimum of a non-empty window.
   thr_.baseline_window = std::max<std::size_t>(1, thr_.baseline_window);
-  // Register the selector/plan-cache metric families even when learned
-  // selection never engages, so a scrape always sees them (at zero).
+  // Register the selector/plan-cache metric families even when the
+  // plan cache never engages, so a scrape always sees them (at zero).
   TouchSelectorMetrics();
   if (selector.enabled && feat_.adaptive && feat_.sw_prefetch) {
     selector_ = std::make_unique<StrategySelector>(selector);
@@ -89,34 +83,8 @@ Coordinator::Coordinator(const PatternInfo& pattern, const Features& features,
   decide();
 }
 
-WindowFeatures Coordinator::make_features() const {
-  WindowFeatures f;
-  f.k = pattern_.k;
-  f.m = pattern_.m;
-  f.block_size = pattern_.block_size;
-  f.nthreads = pattern_.nthreads;
-  f.latency_ratio = last_latency_ratio_;
-  f.useless_ratio = last_useless_ratio_;
-  f.contention = contention_;
-  f.inefficient = inefficient_;
-  f.service_load = service_load_;
-  return f;
-}
-
 void Coordinator::consult_selector() {
-  if (!selector_) return;
-  sel_ = selector_->decide(make_features());
-  if (!sel_.valid || sel_.fallback) {
-    last_source_ = sel_.valid ? DecisionSource::kExplore
-                              : DecisionSource::kHeuristic;
-  } else {
-    last_source_ = sel_.from_cache ? DecisionSource::kCacheHit
-                                   : DecisionSource::kPredicted;
-  }
-}
-
-void Coordinator::observe_service_load(double load) {
-  service_load_ = std::clamp(load, 0.0, 1.0);
+  if (selector_) cached_ = selector_->decide(pattern_);
 }
 
 void Coordinator::flush_plan_cache() {
@@ -127,12 +95,12 @@ void Coordinator::update_pattern(const PatternInfo& pattern) {
   if (pattern == pattern_) return;
   const bool k_changed = pattern.k != pattern_.k;
   pattern_ = pattern;
-  // Re-consult the selector at the shape boundary: a plan-cache hit or
-  // a confident prediction switches the strategy on the very next
-  // stripe instead of waiting out a re-search (this is what makes the
-  // phase-shift recovery O(1) windows).
+  // Re-consult the plan cache at the shape boundary: a hit switches the
+  // strategy on the very next stripe instead of waiting out a
+  // re-search (this is what makes the warm phase-shift recovery O(1)
+  // windows).
   consult_selector();
-  if ((!sel_.valid || sel_.fallback) && k_changed && !climber_.converged()) {
+  if (!cached_ && k_changed && !climber_.converged()) {
     // The distance search seed tracks k; restart an unconverged search
     // from the new shape's seed rather than let it finish climbing a
     // stale landscape. A converged distance is kept — the fluctuation
@@ -194,23 +162,16 @@ void Coordinator::sample(const simmem::MemorySystem& mem, double now) {
                                       std::max(baseline_useless_, 16.0);
   CoordMetrics::Get().contention.set(contention_ ? 1.0 : 0.0);
   CoordMetrics::Get().inefficient.set(inefficient_ ? 1.0 : 0.0);
-  last_latency_ratio_ = baseline_latency_ns_ > 0.0
-                            ? window_latency / baseline_latency_ns_
-                            : 1.0;
-  last_useless_ratio_ =
-      window_useless / std::max(baseline_useless_, 16.0);
 
   if (selector_) {
     // Close the previous window's episode: the observed throughput is
-    // the reward for whatever strategy ran it (predicted, cached, or
-    // explorer-chosen — all train the model).
+    // the evidence for whatever strategy ran it (cached or searched).
     selector_->credit(window_gbps);
     // Open the next one.
     consult_selector();
   }
 
-  const bool selector_drives = sel_.valid && !sel_.fallback;
-  if (feat_.sw_prefetch && feat_.adaptive && !selector_drives) {
+  if (feat_.sw_prefetch && feat_.adaptive && !cached_) {
     // Throughput fluctuation restarts the distance search (paper: 10 %).
     if (last_window_gbps_ > 0.0 && climber_.converged()) {
       const double swing =
@@ -224,29 +185,30 @@ void Coordinator::sample(const simmem::MemorySystem& mem, double now) {
   decide();
 
   if (selector_) {
-    // Tell the selector what was actually put in force (the decide()
-    // ladder may have shaped or overridden its suggestion) — this is
-    // the label its next credit() trains against.
+    // Tell the selector what was actually put in force (after the
+    // feature gates or the ladder's shaping) — the strategy its next
+    // credit() counts the window for.
     selector_->note_applied(strat_);
-    // An explorer convergence during fallback is a finished search:
-    // commit the converged plan for this shape to the cache.
-    if (sel_.valid && sel_.fallback && climber_.converged()) {
-      selector_->commit(make_features(), strat_);
+    // A converged hill climb is a finished search: commit the
+    // converged plan for this shape to the cache.
+    if (!cached_ && climber_.converged()) {
+      selector_->commit(pattern_, strat_);
     }
     selector_->maybe_flush();
   }
   if (record_windows_) {
-    windows_.push_back(
-        {window_gbps, window_latency, strat_.key(), last_source_});
+    windows_.push_back({window_gbps, window_latency, strat_.key(),
+                        cached_.has_value()});
   }
 }
 
 void Coordinator::decide() {
   const Strategy prev = strat_;
-  strat_ = DecideStrategy(
-      pattern_, feat_, thr_, pm_buffer_bytes_,
-      feat_.adaptive ? climber_.current() : SeedDistance(pattern_.k),
-      contention_, inefficient_, sel_);
+  strat_ = cached_ ? ReplayStrategy(*cached_, feat_)
+                   : DecideStrategy(pattern_, feat_, thr_, pm_buffer_bytes_,
+                                    feat_.adaptive ? climber_.current()
+                                                   : SeedDistance(pattern_.k),
+                                    contention_, inefficient_);
   // Publish the decision: flip counter when the strategy changed,
   // gauges for what is now in force.
   auto& m = CoordMetrics::Get();
@@ -255,35 +217,29 @@ void Coordinator::decide() {
   m.sw_distance.set(static_cast<double>(strat_.sw_distance));
 }
 
-Strategy DecideStrategy(const PatternInfo& pattern, const Features& feat,
-                        const Thresholds& thr, std::size_t pm_buffer_bytes,
-                        std::size_t distance, bool contention,
-                        bool inefficient, const SelectorDecision& sel) {
-  Strategy s;
-
-  const bool selector_drives = sel.valid && !sel.fallback;
-
-  // --- Plan-cache replay ----------------------------------------------
+Strategy ReplayStrategy(const Strategy& cached, const Features& feat) {
   // A cached plan is a full converged Strategy; replay it verbatim so a
   // warm process lands on the known-good configuration on the first
   // stripe. Only the feature gates still apply.
-  if (selector_drives && sel.from_cache) {
-    s = sel.cached;
-    if (!feat.hw_prefetch) s.hw_prefetch = false;
-    if (!feat.sw_prefetch) {
-      s.sw_distance = 0;
-      s.xpline_first_distance = 0;
-      s.sw_tail_offset = 0;
-    }
-    return s;
+  Strategy s = cached;
+  if (!feat.hw_prefetch) s.hw_prefetch = false;
+  if (!feat.sw_prefetch) {
+    s.sw_distance = 0;
+    s.xpline_first_distance = 0;
+    s.sw_tail_offset = 0;
   }
+  return s;
+}
+
+Strategy DecideStrategy(const PatternInfo& pattern, const Features& feat,
+                        const Thresholds& thr, std::size_t pm_buffer_bytes,
+                        std::size_t distance, bool contention,
+                        bool inefficient) {
+  Strategy s;
 
   // --- Hardware prefetcher -------------------------------------------
   if (!feat.hw_prefetch) {
     s.hw_prefetch = false;
-  } else if (selector_drives) {
-    // Learned prediction replaces the threshold ladder.
-    s.hw_prefetch = sel.hw_prefetch;
   } else if (pattern.k > thr.wide_stripe_k) {
     // Wide stripes exceed the streamer's tracking capacity; it loses
     // confidence and shuts down on its own — no need to pay the
@@ -301,21 +257,17 @@ Strategy DecideStrategy(const PatternInfo& pattern, const Features& feat,
 
   // --- Software prefetch distance -------------------------------------
   if (feat.sw_prefetch) {
-    const std::size_t d = selector_drives ? sel.sw_distance : distance;
     const bool high_pressure =
         pattern.nthreads > thr.thread_threshold || contention;
     // 4 KiB-aligned blocks on trackable stripes: the streamer covers the
     // whole block at peak efficiency and never crosses the page, so
     // software prefetching only adds issue overhead and traffic
     // (section 4.1 "I/O Access Pattern"; Fig. 12's limited 4 KiB gains).
-    // A learned prediction expresses "hw only" as distance 0 instead.
     const bool streamer_at_peak =
-        !selector_drives && s.hw_prefetch &&
-        pattern.k <= thr.wide_stripe_k &&
+        s.hw_prefetch && pattern.k <= thr.wide_stripe_k &&
         pattern.block_size >= thr.large_block_bytes &&
         pattern.block_size % thr.large_block_bytes == 0;
-    if ((streamer_at_peak && !high_pressure) ||
-        (selector_drives && d == 0)) {
+    if (streamer_at_peak && !high_pressure) {
       return s;  // hw-only strategy
     }
     // Blocks beyond 4 KiB that are not 4 KiB multiples: the streamer
@@ -325,16 +277,16 @@ Strategy DecideStrategy(const PatternInfo& pattern, const Features& feat,
       s.sw_tail_offset =
           pattern.block_size / thr.large_block_bytes * thr.large_block_bytes;
     }
-    s.sw_distance = d;
+    s.sw_distance = distance;
     if (feat.buffer_friendly && high_pressure) {
-      s.sw_distance = std::min(d, MaxDistanceForBuffer(pattern.nthreads,
-                                                       pattern.k, pattern.m,
-                                                       pm_buffer_bytes));
+      s.sw_distance =
+          std::min(distance, MaxDistanceForBuffer(pattern.nthreads, pattern.k,
+                                                  pattern.m, pm_buffer_bytes));
       s.widen_to_xpline = true;
     } else if (feat.buffer_friendly) {
       // Low pressure: pull XPLine-opening lines in earlier (initially
       // k+4, then tracking the adapted distance).
-      s.xpline_first_distance = d + 4;
+      s.xpline_first_distance = distance + 4;
     }
   }
   return s;
@@ -345,7 +297,7 @@ Strategy InitialStrategy(const PatternInfo& pattern, const Features& features,
                          std::size_t pm_buffer_bytes) {
   return DecideStrategy(pattern, features, thresholds, pm_buffer_bytes,
                         SeedDistance(pattern.k), /*contention=*/false,
-                        /*inefficient=*/false, SelectorDecision{});
+                        /*inefficient=*/false);
 }
 
 }  // namespace dialga

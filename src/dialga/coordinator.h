@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dialga/hill_climb.h"
@@ -32,65 +33,47 @@
 
 namespace dialga {
 
-/// Workload shape collected "via the ISA-L library interface".
-struct PatternInfo {
-  std::size_t k = 0;
-  std::size_t m = 0;
-  std::size_t block_size = 0;
-  std::size_t nthreads = 1;
-
-  friend bool operator==(const PatternInfo&, const PatternInfo&) = default;
-};
-
-/// How the strategy currently in force was chosen — recorded per
-/// sampling window when window recording is on (the --phase-shift
-/// bench and the selector tests read the sequence back).
-enum class DecisionSource : std::uint8_t {
-  kHeuristic,  ///< threshold ladder + hill-climb explorer (or selector off)
-  kExplore,    ///< selector engaged but fell back to the explorer
-  kPredicted,  ///< learned predictor, confidence above margin
-  kCacheHit,   ///< plan-cache strategy replayed verbatim
-};
-
 /// One sampling window's outcome, for replay verification.
 struct WindowRecord {
   double gbps = 0.0;
   double latency_ns = 0.0;
   std::uint64_t strategy_key = 0;
-  DecisionSource source = DecisionSource::kHeuristic;
+  /// The plan cache decided the window (otherwise the ladder + hill
+  /// climb did).
+  bool cache_hit = false;
 };
 
 /// The strategy ladder of section 4.1 as a pure function of the static
 /// pattern and configuration, the current software-prefetch distance
-/// (the hill climber's, or the d = k seed), the sampled pressure bits,
-/// and the learned selector's decision (default: none). The coordinator
-/// publishes what it returns; the host face and the static snapshot
-/// plans call it directly and publish nothing.
+/// (the hill climber's, or the d = k seed) and the sampled pressure
+/// bits. The coordinator publishes what it returns; the host face and
+/// the static snapshot plans call it directly and publish nothing.
 Strategy DecideStrategy(const PatternInfo& pattern, const Features& features,
                         const Thresholds& thresholds,
                         std::size_t pm_buffer_bytes, std::size_t distance,
-                        bool contention, bool inefficient,
-                        const SelectorDecision& selector);
+                        bool contention, bool inefficient);
 
-/// DecideStrategy before any sampling: seed distance, no pressure, no
-/// selector — Coordinator::initial_strategy() without a plan cache.
+/// DecideStrategy before any sampling: seed distance, no pressure —
+/// Coordinator::initial_strategy() without a plan cache.
 Strategy InitialStrategy(const PatternInfo& pattern, const Features& features,
                          const Thresholds& thresholds,
                          std::size_t pm_buffer_bytes);
 
+/// A plan-cache entry as it runs under `features`: the committed
+/// Strategy verbatim, minus whatever the feature set switches off. Both
+/// the coordinator and the host face (DialgaCodec::host_strategy)
+/// replay through here.
+Strategy ReplayStrategy(const Strategy& cached, const Features& features);
+
 class Coordinator {
  public:
-  Coordinator(const PatternInfo& pattern, const Features& features,
-              const Thresholds& thresholds, std::size_t pm_buffer_bytes);
-
-  /// As above, plus learned strategy selection: when
-  /// `selector.enabled` (and the feature set is adaptive + sw-prefetch)
-  /// a StrategySelector fronts the threshold ladder — plan-cache hit or
-  /// confident prediction decides the window directly, and the hill
-  /// climber only runs windows the selector defers.
+  /// When `selector.enabled` (and the feature set is adaptive +
+  /// sw-prefetch) a StrategySelector fronts the ladder: a plan-cache
+  /// hit replays the committed strategy, and the ladder + hill climb
+  /// decide every window the cache has no entry for.
   Coordinator(const PatternInfo& pattern, const Features& features,
               const Thresholds& thresholds, std::size_t pm_buffer_bytes,
-              const SelectorOptions& selector);
+              const SelectorOptions& selector = {});
 
   /// Strategy to use for the next stripe. Samples the PMU when the
   /// simulated clock has advanced past the sampling interval.
@@ -109,12 +92,7 @@ class Coordinator {
 
   const PatternInfo& pattern() const { return pattern_; }
 
-  /// Service-side pressure in [0, 1] (queue occupancy fraction from
-  /// svc::StripeService); forwarded into the selector's feature vector
-  /// at the next sampling window.
-  void observe_service_load(double load);
-
-  /// Learned selector, when one was configured (nullptr otherwise).
+  /// Plan-cache selector, when one was configured (nullptr otherwise).
   const StrategySelector* selector() const { return selector_.get(); }
   StrategySelector* selector() { return selector_.get(); }
   /// Persist the selector's plan cache now (graceful shutdown).
@@ -139,10 +117,8 @@ class Coordinator {
  private:
   void sample(const simmem::MemorySystem& mem, double now);
   void decide();
-  /// Current window, featurized for the selector.
-  WindowFeatures make_features() const;
-  /// Ask the selector for the next window's decision (no-op without
-  /// one); refreshes sel_ and last_source_.
+  /// Ask the selector for the next window's cached strategy (no-op
+  /// without one); refreshes cached_.
   void consult_selector();
   /// Push a window's observation into a baseline window (the last
   /// thr_.baseline_window samples) and return its minimum.
@@ -171,16 +147,11 @@ class Coordinator {
   bool contention_ = false;
   bool inefficient_ = false;
 
-  // Learned selection (tentpole of ROADMAP item 1). selector_ is null
-  // unless SelectorOptions.enabled and the feature set is adaptive;
-  // everything below is inert in that case, so a Coordinator built
-  // through the 4-arg constructor behaves exactly as before.
+  // Plan cache. selector_ is null unless SelectorOptions.enabled and
+  // the feature set is adaptive; cached_ then stays empty and every
+  // window is the ladder's.
   std::unique_ptr<StrategySelector> selector_;
-  SelectorDecision sel_;
-  DecisionSource last_source_ = DecisionSource::kHeuristic;
-  double service_load_ = 0.0;
-  double last_latency_ratio_ = 1.0;
-  double last_useless_ratio_ = 0.0;
+  std::optional<Strategy> cached_;  ///< plan-cache hit for this window
   bool record_windows_ = false;
   std::vector<WindowRecord> windows_;
 };

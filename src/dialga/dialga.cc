@@ -15,10 +15,6 @@ void DialgaPlanProvider::observe_pattern(const PatternInfo& pattern) {
   coord_.update_pattern(pattern);
 }
 
-void DialgaPlanProvider::observe_service_load(double load) {
-  coord_.observe_service_load(load);
-}
-
 const ec::EncodePlan& DialgaPlanProvider::next_plan(
     std::size_t /*tid*/, simmem::MemorySystem& mem) {
   const Strategy& s = coord_.strategy(mem);
@@ -50,11 +46,6 @@ Strategy DialgaCodec::host_strategy(std::size_t block_size) const {
     // Read-only plan-cache replay: only the learning path (a live
     // Coordinator's selector) commits entries, each with a measured
     // reward; the host face never writes the file.
-    WindowFeatures f;
-    f.k = pattern.k;
-    f.m = pattern.m;
-    f.block_size = pattern.block_size;
-    f.nthreads = pattern.nthreads;
     std::lock_guard<std::mutex> lock(host_mu_);
     if (!host_cache_loaded_) {
       host_cache_loaded_ = true;
@@ -62,8 +53,8 @@ Strategy DialgaCodec::host_strategy(std::size_t block_size) const {
         host_cache_.load_warn_if_corrupt(selector_opts_.plan_cache_path);
       }
     }
-    if (const PlanCache::Entry* e = host_cache_.lookup(f.shape_key())) {
-      return Strategy::from_key(e->strategy_key);
+    if (const PlanCache::Entry* e = host_cache_.lookup(ShapeKey(pattern))) {
+      return ReplayStrategy(Strategy::from_key(e->strategy_key), features_);
     }
   }
   // Otherwise the coordinator's initial strategy for this pattern: its

@@ -49,10 +49,6 @@ class DialgaPlanProvider : public ec::PlanProvider {
   /// the cache is keyed by realized strategy, not by pattern.
   void observe_pattern(const PatternInfo& pattern);
 
-  /// Forward the front-end's queue-occupancy fraction [0, 1] into the
-  /// coordinator (and from there the selector's feature vector).
-  void observe_service_load(double load);
-
   const Coordinator& coordinator() const { return coord_; }
   Coordinator& coordinator() { return coord_; }
   /// Number of distinct strategies materialized so far.
@@ -72,8 +68,8 @@ class DialgaCodec : public ec::Codec {
               Features features = Features::all(),
               Thresholds thresholds = Thresholds{});
 
-  /// Enable learned strategy selection: providers built afterwards get
-  /// a StrategySelector, and the host encode/decode face replays plans
+  /// Enable the plan cache: providers built afterwards get a
+  /// StrategySelector, and the host encode/decode face replays plans
   /// from the persistent plan cache (loaded once, never written).
   void set_selector_options(const SelectorOptions& opts);
   const SelectorOptions& selector_options() const { return selector_opts_; }
@@ -108,7 +104,8 @@ class DialgaCodec : public ec::Codec {
   const ec::IsalCodec& inner() const { return inner_; }
 
   /// Strategy encode()/decode() run for this block size: the plan-cache
-  /// entry for the shape when the selector is on and has one, the
+  /// entry for the shape when the selector is on and has one (replayed
+  /// through ReplayStrategy, as the coordinator does), the
   /// coordinator's initial strategy otherwise. Publishes no coordinator
   /// metrics.
   Strategy host_strategy(std::size_t block_size) const;

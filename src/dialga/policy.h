@@ -9,6 +9,16 @@
 
 namespace dialga {
 
+/// Workload shape collected "via the ISA-L library interface".
+struct PatternInfo {
+  std::size_t k = 0;
+  std::size_t m = 0;
+  std::size_t block_size = 0;
+  std::size_t nthreads = 1;
+
+  friend bool operator==(const PatternInfo&, const PatternInfo&) = default;
+};
+
 /// A concrete prefetcher-scheduling strategy — one "variant assembly
 /// entry point" in the paper's terms. The coordinator picks one of
 /// these per sampling window; the operator realizes it as an ISA-L plan.

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "dialga/dialga.h"
 #include "ec/isal.h"
@@ -54,89 +51,6 @@ std::unique_ptr<Codec> MakeCodec(const CodecSpec& spec) {
 std::vector<std::string> KnownCodecs() {
   return {"ISA-L", "ISA-L-D", "Zerasure", "Cerasure",
           "DIALGA", "RS16",   "LRC"};
-}
-
-namespace {
-
-// Strict full-string u64 parse; false on empty, trailing junk, or
-// overflow. Leading '-' is rejected explicitly (strtoull wraps it).
-bool ParseU64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
-  const char* p = s;
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(p, &end, 10);
-  if (end == p || errno == ERANGE) return false;
-  while (*end == ' ' || *end == '\t') ++end;
-  if (*end != '\0') return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool ParseDouble(const char* s, double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || errno == ERANGE) return false;
-  while (*end == ' ' || *end == '\t') ++end;
-  if (*end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
-
-std::uint64_t EnvUint64(const char* name, std::uint64_t def, std::uint64_t lo,
-                        std::uint64_t hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return def;
-  std::uint64_t v = 0;
-  if (!ParseU64(raw, &v)) {
-    std::fprintf(stderr,
-                 "dialga: %s='%s' is not a valid unsigned integer; using "
-                 "default %" PRIu64 "\n",
-                 name, raw, def);
-    return def;
-  }
-  if (v < lo || v > hi) {
-    const std::uint64_t clamped = std::clamp(v, lo, hi);
-    std::fprintf(stderr,
-                 "dialga: %s=%" PRIu64 " out of range [%" PRIu64 ", %" PRIu64
-                 "]; clamping to %" PRIu64 "\n",
-                 name, v, lo, hi, clamped);
-    return clamped;
-  }
-  return v;
-}
-
-std::size_t EnvSizeT(const char* name, std::size_t def, std::size_t lo,
-                     std::size_t hi) {
-  return static_cast<std::size_t>(
-      EnvUint64(name, def, lo, std::min<std::uint64_t>(
-                                   hi, std::numeric_limits<std::size_t>::max())));
-}
-
-double EnvDouble(const char* name, double def, double lo, double hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return def;
-  double v = 0.0;
-  if (!ParseDouble(raw, &v) || v != v) {  // reject malformed and NaN
-    std::fprintf(stderr,
-                 "dialga: %s='%s' is not a valid number; using default %g\n",
-                 name, raw, def);
-    return def;
-  }
-  if (v < lo || v > hi) {
-    const double clamped = std::clamp(v, lo, hi);
-    std::fprintf(stderr,
-                 "dialga: %s=%g out of range [%g, %g]; clamping to %g\n", name,
-                 v, lo, hi, clamped);
-    return clamped;
-  }
-  return v;
 }
 
 bool EnvFlag(const char* name, bool def) {

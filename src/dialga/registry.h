@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,20 +30,9 @@ std::unique_ptr<Codec> MakeCodec(const CodecSpec& spec);
 /// Names MakeCodec understands, canonical capitalization.
 std::vector<std::string> KnownCodecs();
 
-// Hardened DIALGA_* environment parsing. Every helper does a strict
-// full-string parse: a malformed value (trailing junk, empty, overflow)
-// warns on stderr and keeps the default instead of silently becoming
-// zero; a well-formed but out-of-range value warns and clamps to
-// [lo, hi] — the DIALGA_ISA reject-with-clamp behavior, generalized.
-// Unset variables return the default silently.
-
-std::size_t EnvSizeT(const char* name, std::size_t def, std::size_t lo,
-                     std::size_t hi);
-std::uint64_t EnvUint64(const char* name, std::uint64_t def, std::uint64_t lo,
-                        std::uint64_t hi);
-double EnvDouble(const char* name, double def, double lo, double hi);
-/// Accepts 1/0, true/false, on/off, yes/no (case-insensitive); anything
-/// else warns and keeps the default.
+/// Hardened DIALGA_* on/off flag: accepts 1/0, true/false, on/off,
+/// yes/no (case-insensitive); anything else warns on stderr and keeps
+/// the default. An unset variable returns the default silently.
 bool EnvFlag(const char* name, bool def);
 
 }  // namespace dialga

@@ -671,12 +671,4 @@ dialga::PatternInfo StripeService::pattern() const {
   return info;
 }
 
-double StripeService::load_factor() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (cfg_.queue_capacity == 0) return 0.0;
-  const double inflight =
-      static_cast<double>(inflight_encode_ + inflight_decode_);
-  return std::min(inflight / static_cast<double>(cfg_.queue_capacity), 1.0);
-}
-
 }  // namespace svc

@@ -136,19 +136,11 @@ class StripeService {
   /// admission.
   dialga::PatternInfo pattern() const;
 
-  /// Service-side pressure in [0, 1]: the admitted-but-uncompleted
-  /// fraction of the queue capacity. One of the learned selector's
-  /// features — front-end saturation and PMU pressure move together
-  /// under contention, but load_factor() leads by a window or two.
-  double load_factor() const;
-
   /// Hand the rolling pattern to an adaptive provider ahead of a timed
   /// or simulated run — the coordinator re-decides its strategy for
-  /// the traffic actually being served. Also forwards the current
-  /// load_factor() into the coordinator's feature set.
+  /// the traffic actually being served.
   void feed_pattern(dialga::DialgaPlanProvider& provider) const {
     provider.observe_pattern(pattern());
-    provider.observe_service_load(load_factor());
   }
 
   ec::ThreadPool& pool() { return *pool_; }

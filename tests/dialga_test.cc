@@ -257,15 +257,10 @@ TEST(DialgaHostFace, PlanCacheIsReadOnly) {
   EXPECT_FALSE(fs::exists(path));
 
   // Warm: a hit replays the cached plan and leaves the file untouched.
-  WindowFeatures f;
-  f.k = 8;
-  f.m = 3;
-  f.block_size = kBs;
-  f.nthreads = 1;
   Strategy cached;
   cached.sw_distance = 24;
   PlanCache cache;
-  cache.insert(f.shape_key(), {cached.key(), 0.5});
+  cache.insert(ShapeKey({8, 3, kBs, 1}), {cached.key(), 0.5});
   ASSERT_TRUE(cache.flush(path.string()));
   auto slurp = [&] {
     std::ifstream in(path, std::ios::binary);
@@ -277,6 +272,49 @@ TEST(DialgaHostFace, PlanCacheIsReadOnly) {
   EXPECT_EQ(slurp(), bytes);
   EXPECT_EQ(fs::last_write_time(path), mtime);
   fs::remove_all(dir);
+}
+
+TEST(DialgaHostFace, PlanCacheReplayHonoursFeatureGates) {
+  // A cached entry is a full Strategy; replaying it must apply the same
+  // Features gates as the coordinator does, so a codec built without
+  // software prefetch runs pd 0 with or without a cache entry.
+  namespace fs = std::filesystem;
+  const fs::path path =
+      fs::temp_directory_path() / "dialga_host_face_gates.bin";
+  constexpr std::size_t kBs = 4096;
+  const PatternInfo pattern{8, 3, kBs, 1};
+  Strategy cached;
+  cached.sw_distance = 24;
+  cached.xpline_first_distance = 28;
+  PlanCache cache;
+  cache.insert(ShapeKey(pattern), {cached.key(), 0.5});
+  ASSERT_TRUE(cache.flush(path.string()));
+
+  SelectorOptions opts;
+  opts.enabled = true;
+  opts.learn = false;
+  opts.plan_cache_path = path.string();
+  for (const Features& f :
+       {Features::vanilla(), Features::sw_only(), Features::all()}) {
+    SCOPED_TRACE(::testing::Message() << "sw_prefetch " << f.sw_prefetch
+                                      << " hw_prefetch " << f.hw_prefetch);
+    DialgaCodec codec(8, 3, ec::SimdWidth::kAvx512, f);
+    const Strategy cold = codec.host_strategy(kBs);
+    codec.set_selector_options(opts);
+    const Strategy warm = codec.host_strategy(kBs);
+    if (!f.sw_prefetch) {
+      EXPECT_EQ(cold.sw_distance, 0u);
+      EXPECT_EQ(warm.sw_distance, 0u)
+          << "a cached pd-24 entry must not switch software prefetch on";
+    }
+    EXPECT_EQ(warm, ReplayStrategy(cached, f));
+    // Where the coordinator consults the cache, both faces replay alike.
+    if (f.adaptive && f.sw_prefetch) {
+      const Coordinator coord(pattern, f, Thresholds{}, 0, opts);
+      EXPECT_EQ(warm, coord.initial_strategy());
+    }
+  }
+  fs::remove(path);
 }
 
 }  // namespace

@@ -346,6 +346,11 @@ TEST(StripeServiceTest, ShutdownCancelDropsQueuedButFinishesDispatched) {
   GatedFactory gate;
   StripeService::Config cfg;
   cfg.queue_capacity = 32;
+  // The dispatched head counts against the encode class cap but not the
+  // queue, so with the default cap (= capacity) a closer thread slow to
+  // run lets the probes below hit kRejectedClassLimit before the queue
+  // fills. Lift the cap: a full queue is the only back-pressure here.
+  cfg.encode_inflight_limit = 2 * cfg.queue_capacity;
   StripeService service(gate.install(std::move(cfg)));
 
   constexpr std::size_t kQueued = 8;

@@ -77,7 +77,6 @@ struct Options {
   std::string trace_out;
   std::string isa;
   std::string plan_cache;  // --plan-cache PATH (or DIALGA_PLAN_CACHE)
-  bool no_learn = false;   // --no-learn: replay plans, never update them
   aio::Mode aio = aio::ModeFromEnv();
   std::size_t cluster_nodes = 0;  // 0 = single-process shard store
   std::size_t local = 0;          // LRC local parities (cluster mode)
@@ -122,8 +121,6 @@ bool Parse(int argc, char** argv, Options* opt) {
     } else if (arg == "--plan-cache") {
       if (i + 1 >= argc) return false;
       opt->plan_cache = argv[++i];
-    } else if (arg == "--no-learn") {
-      opt->no_learn = true;
     } else if (arg == "--aio") {
       if (i + 1 >= argc) return false;
       const auto mode = aio::ParseMode(argv[++i]);
@@ -154,17 +151,16 @@ bool Parse(int argc, char** argv, Options* opt) {
   return true;
 }
 
-/// Learned-selection configuration for the codec: environment first
-/// (DIALGA_PLAN_CACHE, DIALGA_SELECTOR*), then the explicit flags —
-/// --plan-cache PATH enables the selector with that cache file and
-/// --no-learn freezes it (replay committed plans, never update them).
+/// Plan-cache configuration for the codec: environment first
+/// (DIALGA_PLAN_CACHE, DIALGA_SELECTOR), then --plan-cache PATH, which
+/// enables replay from that cache file. The host face eccli runs only
+/// reads the cache; it never writes it.
 dialga::SelectorOptions SelectorFromOptions(const Options& opt) {
   dialga::SelectorOptions sel = dialga::SelectorOptions::FromEnv();
   if (!opt.plan_cache.empty()) {
     sel.plan_cache_path = opt.plan_cache;
     sel.enabled = true;
   }
-  if (opt.no_learn) sel.learn = false;
   return sel;
 }
 
