@@ -33,17 +33,6 @@
 // (checksum verification off vs on, best of three reps; target <= 5%
 // overhead). Series lands as bench_svc_throughput_integrity.csv.
 //
-// --phase-shift runs the plan-cache acceptance measurement: a workload
-// alternating two shapes (1-thread vs 16-thread encode of the same
-// RS(12,4)/1KB stripes) over one persistent simulated memory system,
-// three ways — hill-climb-only baseline, plan cache cold (empty cache),
-// plan cache warm (cache populated by the cold run). Gates: the cold
-// run reaches within 5 % of each phase's steady-state throughput in
-// <= 3 sampling windows once both shapes have been seen; the warm run
-// replays the cached plans with 0 fallback invocations; and two warm
-// runs produce bit-identical decision streams. Series lands as
-// bench_svc_throughput_selector.csv under DIALGA_CSV_DIR.
-//
 // --qos runs the bandwidth-governor acceptance measurement: a mixed
 // workload (closed-loop bulk encodes saturating the pool + open-loop
 // degraded reads) three ways — degraded-only baseline, ungoverned mix,
@@ -73,14 +62,10 @@
 
 #include "aio/datapath.h"
 #include "bench_util/stats.h"
-#include "bench_util/workload.h"
 #include "cluster/local_cluster.h"
-#include "dialga/dialga.h"
-#include "ec/executor.h"
 #include "ec/isal.h"
 #include "fault/injector.h"
 #include "fig_common.h"
-#include "obs/metrics.h"
 #include "shard/shard_store.h"
 #include "svc/governor.h"
 #include "svc/stripe_service.h"
@@ -843,245 +828,6 @@ int RunQos(double run_seconds) {
   return all ? 0 : 1;
 }
 
-// --------------------------------------------------------------------
-// --phase-shift: plan-cache acceptance.
-
-/// One phase's outcome under one selection mode.
-struct PhaseOutcome {
-  std::size_t nthreads = 0;
-  std::size_t windows = 0;      ///< sampling windows inside the phase
-  std::size_t to_95 = 0;        ///< windows until >= 95 % of steady state
-  double steady_gbps = 0.0;     ///< median of the phase's last half
-  std::size_t cache_hits = 0;   ///< windows decided by the plan cache
-};
-
-struct ShiftRun {
-  std::vector<PhaseOutcome> phases;
-  std::vector<std::pair<std::uint64_t, bool>> decisions;  ///< replay stream
-  std::uint64_t fallbacks = 0;  ///< selector fallback windows (whole run)
-};
-
-/// Drive kShiftPhases alternating workload phases through one adaptive
-/// provider over one persistent memory system, so the coordinator's
-/// sampling state carries across the shifts exactly as it would in a
-/// long-lived service process.
-constexpr std::size_t kShiftK = 12, kShiftM = 4, kShiftBlock = 1024;
-constexpr int kShiftPhases = 8;
-constexpr std::size_t kShiftMaxThreads = 16;
-
-ShiftRun RunShiftWorkload(const dialga::SelectorOptions& sel) {
-  const simmem::SimConfig sim;
-  dialga::Thresholds thr;
-  // Densest practical sampling: the recovery gate counts windows, so
-  // the windows must be small enough that "<= 3 windows" is a real
-  // constraint inside a phase.
-  thr.sample_interval_ns = 2.0e5;
-  dialga::DialgaCodec codec(kShiftK, kShiftM, ec::SimdWidth::kAvx512,
-                            dialga::Features::all(), thr);
-  codec.set_selector_options(sel);
-  const dialga::PatternInfo pattern{kShiftK, kShiftM, kShiftBlock, 1};
-  auto provider = codec.make_encode_provider(pattern, sim);
-  provider->coordinator().set_record_windows(true);
-
-  simmem::MemorySystem mem(sim, kShiftMaxThreads);
-  std::vector<std::size_t> phase_start;
-  std::vector<std::size_t> phase_threads;
-  for (int p = 0; p < kShiftPhases; ++p) {
-    const std::size_t nthreads = p % 2 == 0 ? 1 : kShiftMaxThreads;
-    provider->observe_pattern({kShiftK, kShiftM, kShiftBlock, nthreads});
-    phase_start.push_back(provider->coordinator().windows().size());
-    phase_threads.push_back(nthreads);
-
-    bench_util::WorkloadConfig wc;
-    wc.k = kShiftK;
-    wc.m = kShiftM;
-    wc.block_size = kShiftBlock;
-    wc.threads = nthreads;
-    // Sized for a healthy number of sampling windows per phase at the
-    // interval above (tuned once; deterministic thereafter).
-    wc.total_data_bytes = nthreads == 1 ? (3ull << 20) : (24ull << 20);
-    wc.seed = 100 + static_cast<std::uint64_t>(p);
-    bench_util::Workload wl = bench_util::BuildWorkload(wc);
-    for (ec::ThreadWork& w : wl.work) w.provider = provider.get();
-    ec::RunThreads(mem, wl.work);
-    // Bring every core to the same clock before the next phase: a
-    // 1-thread phase leaves core 0 far ahead, and the next 16-thread
-    // phase would otherwise interleave "in the past".
-    const double clock = mem.max_clock();
-    for (std::size_t t = 0; t < kShiftMaxThreads; ++t) {
-      mem.advance_to(t, clock);
-    }
-  }
-
-  ShiftRun run;
-  const auto& windows = provider->coordinator().windows();
-  if (std::getenv("DIALGA_SHIFT_DEBUG") != nullptr) {
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-      int phase = -1;
-      for (std::size_t p = 0; p < phase_start.size(); ++p) {
-        if (i >= phase_start[p]) phase = static_cast<int>(p);
-      }
-      std::printf("dbg phase=%d w=%zu gbps=%.3f key=%llu cache=%d\n", phase,
-                  i, windows[i].gbps,
-                  static_cast<unsigned long long>(windows[i].strategy_key),
-                  windows[i].cache_hit ? 1 : 0);
-    }
-  }
-  for (int p = 0; p < kShiftPhases; ++p) {
-    const std::size_t lo = phase_start[static_cast<std::size_t>(p)];
-    const std::size_t hi = p + 1 < kShiftPhases
-                               ? phase_start[static_cast<std::size_t>(p) + 1]
-                               : windows.size();
-    PhaseOutcome out;
-    out.nthreads = phase_threads[static_cast<std::size_t>(p)];
-    out.windows = hi - lo;
-    if (out.windows == 0) {
-      run.phases.push_back(out);
-      continue;
-    }
-    // Steady state: median throughput of the phase's second half.
-    std::vector<double> tail;
-    for (std::size_t i = lo + out.windows / 2; i < hi; ++i) {
-      tail.push_back(windows[i].gbps);
-    }
-    std::sort(tail.begin(), tail.end());
-    out.steady_gbps = tail.empty() ? 0.0 : tail[tail.size() / 2];
-    out.to_95 = out.windows;  // "never" until proven otherwise
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (windows[i].gbps >= 0.95 * out.steady_gbps) {
-        out.to_95 = i - lo;
-        break;
-      }
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (windows[i].cache_hit) ++out.cache_hits;
-    }
-    run.phases.push_back(out);
-  }
-  for (const dialga::WindowRecord& w : windows) {
-    run.decisions.emplace_back(w.strategy_key, w.cache_hit);
-  }
-  if (const dialga::StrategySelector* s = provider->coordinator().selector()) {
-    run.fallbacks = s->stats().fallbacks;
-  }
-  return run;
-}
-
-int RunPhaseShift() {
-  const std::string cache_path =
-      (std::filesystem::temp_directory_path() / "bench_phase_shift_plans.bin")
-          .string();
-  std::remove(cache_path.c_str());
-
-  // Hill-climb-only baseline: selector disabled.
-  const ShiftRun baseline = RunShiftWorkload(dialga::SelectorOptions{});
-
-  // Learned, cold: empty plan cache, the hill climb decides every miss.
-  // Its graceful-shutdown flush (provider teardown) populates the cache.
-  dialga::SelectorOptions cold;
-  cold.enabled = true;
-  cold.plan_cache_path = cache_path;
-  const ShiftRun learned = RunShiftWorkload(cold);
-
-  // Learned, warm: replay against the populated cache, learning
-  // frozen — run twice for the bit-replay check.
-  dialga::SelectorOptions warm = cold;
-  warm.learn = false;
-  const std::uint64_t fallbacks_before =
-      obs::Registry::Global()
-          .counter("dialga_selector_fallbacks_total", {}, "")
-          .value();
-  const ShiftRun warm1 = RunShiftWorkload(warm);
-  const std::uint64_t fallbacks_after =
-      obs::Registry::Global()
-          .counter("dialga_selector_fallbacks_total", {}, "")
-          .value();
-  const ShiftRun warm2 = RunShiftWorkload(warm);
-
-  bench_util::Table table({"mode", "phase", "threads", "windows", "to_95",
-                           "steady_gbps", "cache_hits", "fallbacks"});
-  const auto rows = [&table](const char* mode, const ShiftRun& r) {
-    for (std::size_t p = 0; p < r.phases.size(); ++p) {
-      const PhaseOutcome& o = r.phases[p];
-      table.row({mode, std::to_string(p), std::to_string(o.nthreads),
-                 std::to_string(o.windows), std::to_string(o.to_95),
-                 bench_util::Table::num(o.steady_gbps, 3),
-                 std::to_string(o.cache_hits), std::to_string(r.fallbacks)});
-    }
-  };
-  rows("hill_climb", baseline);
-  rows("learned_cold", learned);
-  rows("learned_warm", warm1);
-
-  std::printf("\n=== Learned selection: RS(%zu,%zu)/%zu B phase shift "
-              "(1 <-> %zu threads, %d phases) ===\n",
-              kShiftK, kShiftM, kShiftBlock, kShiftMaxThreads, kShiftPhases);
-  table.print(std::cout);
-
-  std::printf("\nacceptance checks:\n");
-  bool all = true;
-  auto check = [&](const char* claim, bool holds) {
-    std::printf("  [%s] %s\n", holds ? "PASS" : "FAIL", claim);
-    all &= holds;
-  };
-
-  bool enough_windows = true;
-  for (const PhaseOutcome& o : learned.phases) {
-    enough_windows &= o.windows >= 6;
-  }
-  check("every phase spans >= 6 sampling windows", enough_windows);
-
-  // Cold learned run: once both shapes have been seen (phases 2+), a
-  // shift recovers to within 5 % of steady state in <= 3 windows.
-  bool cold_recovers = true;
-  for (std::size_t p = 2; p < learned.phases.size(); ++p) {
-    cold_recovers &= learned.phases[p].to_95 <= 3;
-  }
-  check("learned (cold cache): within 5 % of steady state in <= 3 windows "
-        "after every shift past the first cycle",
-        cold_recovers);
-
-  bool warm_recovers = true;
-  for (const PhaseOutcome& o : warm1.phases) {
-    warm_recovers &= o.to_95 <= 3;
-  }
-  check("learned (warm cache): within 5 % of steady state in <= 3 windows "
-        "after every shift",
-        warm_recovers);
-
-  check("warm run records dialga_selector_fallbacks_total == 0 "
-        "(plan cache skips exploration entirely)",
-        warm1.fallbacks == 0 && fallbacks_after == fallbacks_before);
-
-  check("warm decision stream is bit-replayable (two runs identical)",
-        !warm1.decisions.empty() && warm1.decisions == warm2.decisions);
-
-  // A committed plan must not be a regression: cached replay has to
-  // hold the throughput the explorer's steady state reached.
-  bool no_regression = baseline.phases.size() == warm1.phases.size();
-  for (std::size_t p = 0; no_regression && p < warm1.phases.size(); ++p) {
-    no_regression &=
-        warm1.phases[p].steady_gbps >= 0.9 * baseline.phases[p].steady_gbps;
-  }
-  check("warm steady state holds >= 90 % of the hill-climb baseline in "
-        "every phase",
-        no_regression);
-
-  bool warm_all_cached = true;
-  for (const PhaseOutcome& o : warm1.phases) {
-    warm_all_cached &= o.cache_hits == o.windows;
-  }
-  check("every warm window was decided by the plan cache", warm_all_cached);
-
-  if (const char* dir = std::getenv("DIALGA_CSV_DIR"); dir != nullptr) {
-    std::ofstream out(std::string(dir) +
-                      "/bench_svc_throughput_selector.csv");
-    if (out) table.print_csv(out);
-  }
-  std::remove(cache_path.c_str());
-  return all ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1097,7 +843,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--file-backed") == 0) return RunFileBacked();
     if (std::strcmp(argv[i], "--integrity") == 0) return RunIntegrity();
-    if (std::strcmp(argv[i], "--phase-shift") == 0) return RunPhaseShift();
     if (std::strcmp(argv[i], "--qos") == 0) {
       double secs = 1.5;
       if (i + 1 < argc && argv[i + 1][0] != '-') {

@@ -103,15 +103,6 @@ inline constexpr char kUsageText[] =
     "                    read from DIALGA_AIO; a forced uring on a "
     "kernel without\n"
     "                    io_uring falls back to stdio with a warning)\n"
-    "  --plan-cache F    replay prefetch strategies from the "
-    "persistent plan cache\n"
-    "                    at F: a shape with a committed entry runs it "
-    "instead of\n"
-    "                    the initial strategy (also read from "
-    "DIALGA_PLAN_CACHE;\n"
-    "                    see docs/learned_selection.md); the file is "
-    "only read, and\n"
-    "                    a corrupt one is ignored with a warning\n"
     "cluster mode:\n"
     "  --cluster-nodes N run the command against an in-process "
     "cluster of N\n"

@@ -64,8 +64,7 @@ struct CoordMetrics {
 
 Coordinator::Coordinator(const PatternInfo& pattern, const Features& features,
                          const Thresholds& thresholds,
-                         std::size_t pm_buffer_bytes,
-                         const SelectorOptions& selector)
+                         std::size_t pm_buffer_bytes)
     : pattern_(pattern),
       feat_(features),
       thr_(thresholds),
@@ -73,34 +72,14 @@ Coordinator::Coordinator(const PatternInfo& pattern, const Features& features,
       climber_(SeedDistance(pattern.k), kMinDistance, kMaxDistance) {
   // UpdateBaseline takes the minimum of a non-empty window.
   thr_.baseline_window = std::max<std::size_t>(1, thr_.baseline_window);
-  // Register the selector/plan-cache metric families even when the
-  // plan cache never engages, so a scrape always sees them (at zero).
-  TouchSelectorMetrics();
-  if (selector.enabled && feat_.adaptive && feat_.sw_prefetch) {
-    selector_ = std::make_unique<StrategySelector>(selector);
-    consult_selector();  // a warm plan cache decides the first stripe
-  }
   decide();
-}
-
-void Coordinator::consult_selector() {
-  if (selector_) cached_ = selector_->decide(pattern_);
-}
-
-void Coordinator::flush_plan_cache() {
-  if (selector_) selector_->flush();
 }
 
 void Coordinator::update_pattern(const PatternInfo& pattern) {
   if (pattern == pattern_) return;
   const bool k_changed = pattern.k != pattern_.k;
   pattern_ = pattern;
-  // Re-consult the plan cache at the shape boundary: a hit switches the
-  // strategy on the very next stripe instead of waiting out a
-  // re-search (this is what makes the warm phase-shift recovery O(1)
-  // windows).
-  consult_selector();
-  if (!cached_ && k_changed && !climber_.converged()) {
+  if (k_changed && !climber_.converged()) {
     // The distance search seed tracks k; restart an unconverged search
     // from the new shape's seed rather than let it finish climbing a
     // stale landscape. A converged distance is kept — the fluctuation
@@ -163,15 +142,7 @@ void Coordinator::sample(const simmem::MemorySystem& mem, double now) {
   CoordMetrics::Get().contention.set(contention_ ? 1.0 : 0.0);
   CoordMetrics::Get().inefficient.set(inefficient_ ? 1.0 : 0.0);
 
-  if (selector_) {
-    // Close the previous window's episode: the observed throughput is
-    // the evidence for whatever strategy ran it (cached or searched).
-    selector_->credit(window_gbps);
-    // Open the next one.
-    consult_selector();
-  }
-
-  if (feat_.sw_prefetch && feat_.adaptive && !cached_) {
+  if (feat_.sw_prefetch && feat_.adaptive) {
     // Throughput fluctuation restarts the distance search (paper: 10 %).
     if (last_window_gbps_ > 0.0 && climber_.converged()) {
       const double swing =
@@ -184,51 +155,23 @@ void Coordinator::sample(const simmem::MemorySystem& mem, double now) {
 
   decide();
 
-  if (selector_) {
-    // Tell the selector what was actually put in force (after the
-    // feature gates or the ladder's shaping) — the strategy its next
-    // credit() counts the window for.
-    selector_->note_applied(strat_);
-    // A converged hill climb is a finished search: commit the
-    // converged plan for this shape to the cache.
-    if (!cached_ && climber_.converged()) {
-      selector_->commit(pattern_, strat_);
-    }
-    selector_->maybe_flush();
-  }
   if (record_windows_) {
-    windows_.push_back({window_gbps, window_latency, strat_.key(),
-                        cached_.has_value()});
+    windows_.push_back({window_gbps, window_latency, strat_.key()});
   }
 }
 
 void Coordinator::decide() {
   const Strategy prev = strat_;
-  strat_ = cached_ ? ReplayStrategy(*cached_, feat_)
-                   : DecideStrategy(pattern_, feat_, thr_, pm_buffer_bytes_,
-                                    feat_.adaptive ? climber_.current()
-                                                   : SeedDistance(pattern_.k),
-                                    contention_, inefficient_);
+  strat_ = DecideStrategy(pattern_, feat_, thr_, pm_buffer_bytes_,
+                          feat_.adaptive ? climber_.current()
+                                         : SeedDistance(pattern_.k),
+                          contention_, inefficient_);
   // Publish the decision: flip counter when the strategy changed,
   // gauges for what is now in force.
   auto& m = CoordMetrics::Get();
   if (!(prev == strat_)) m.strategy_flips.inc();
   m.hw_prefetch.set(strat_.hw_prefetch ? 1.0 : 0.0);
   m.sw_distance.set(static_cast<double>(strat_.sw_distance));
-}
-
-Strategy ReplayStrategy(const Strategy& cached, const Features& feat) {
-  // A cached plan is a full converged Strategy; replay it verbatim so a
-  // warm process lands on the known-good configuration on the first
-  // stripe. Only the feature gates still apply.
-  Strategy s = cached;
-  if (!feat.hw_prefetch) s.hw_prefetch = false;
-  if (!feat.sw_prefetch) {
-    s.sw_distance = 0;
-    s.xpline_first_distance = 0;
-    s.sw_tail_offset = 0;
-  }
-  return s;
 }
 
 Strategy DecideStrategy(const PatternInfo& pattern, const Features& feat,

@@ -22,13 +22,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "dialga/hill_climb.h"
 #include "dialga/policy.h"
-#include "dialga/selector.h"
 #include "simmem/memory_system.h"
 
 namespace dialga {
@@ -38,9 +35,8 @@ struct WindowRecord {
   double gbps = 0.0;
   double latency_ns = 0.0;
   std::uint64_t strategy_key = 0;
-  /// The plan cache decided the window (otherwise the ladder + hill
-  /// climb did).
-  bool cache_hit = false;
+
+  friend bool operator==(const WindowRecord&, const WindowRecord&) = default;
 };
 
 /// The strategy ladder of section 4.1 as a pure function of the static
@@ -54,26 +50,15 @@ Strategy DecideStrategy(const PatternInfo& pattern, const Features& features,
                         bool contention, bool inefficient);
 
 /// DecideStrategy before any sampling: seed distance, no pressure —
-/// Coordinator::initial_strategy() without a plan cache.
+/// Coordinator::initial_strategy().
 Strategy InitialStrategy(const PatternInfo& pattern, const Features& features,
                          const Thresholds& thresholds,
                          std::size_t pm_buffer_bytes);
 
-/// A plan-cache entry as it runs under `features`: the committed
-/// Strategy verbatim, minus whatever the feature set switches off. Both
-/// the coordinator and the host face (DialgaCodec::host_strategy)
-/// replay through here.
-Strategy ReplayStrategy(const Strategy& cached, const Features& features);
-
 class Coordinator {
  public:
-  /// When `selector.enabled` (and the feature set is adaptive +
-  /// sw-prefetch) a StrategySelector fronts the ladder: a plan-cache
-  /// hit replays the committed strategy, and the ladder + hill climb
-  /// decide every window the cache has no entry for.
   Coordinator(const PatternInfo& pattern, const Features& features,
-              const Thresholds& thresholds, std::size_t pm_buffer_bytes,
-              const SelectorOptions& selector = {});
+              const Thresholds& thresholds, std::size_t pm_buffer_bytes);
 
   /// Strategy to use for the next stripe. Samples the PMU when the
   /// simulated clock has advanced past the sampling interval.
@@ -92,14 +77,8 @@ class Coordinator {
 
   const PatternInfo& pattern() const { return pattern_; }
 
-  /// Plan-cache selector, when one was configured (nullptr otherwise).
-  const StrategySelector* selector() const { return selector_.get(); }
-  StrategySelector* selector() { return selector_.get(); }
-  /// Persist the selector's plan cache now (graceful shutdown).
-  void flush_plan_cache();
-
   /// Record per-window outcomes into windows() — off by default; the
-  /// phase-shift bench and replay tests turn it on.
+  /// phase-shift replay test turns it on.
   void set_record_windows(bool on) { record_windows_ = on; }
   const std::vector<WindowRecord>& windows() const { return windows_; }
 
@@ -117,9 +96,6 @@ class Coordinator {
  private:
   void sample(const simmem::MemorySystem& mem, double now);
   void decide();
-  /// Ask the selector for the next window's cached strategy (no-op
-  /// without one); refreshes cached_.
-  void consult_selector();
   /// Push a window's observation into a baseline window (the last
   /// thr_.baseline_window samples) and return its minimum.
   double UpdateBaseline(std::deque<double>& window, double observation) const;
@@ -147,11 +123,6 @@ class Coordinator {
   bool contention_ = false;
   bool inefficient_ = false;
 
-  // Plan cache. selector_ is null unless SelectorOptions.enabled and
-  // the feature set is adaptive; cached_ then stays empty and every
-  // window is the ladder's.
-  std::unique_ptr<StrategySelector> selector_;
-  std::optional<Strategy> cached_;  ///< plan-cache hit for this window
   bool record_windows_ = false;
   std::vector<WindowRecord> windows_;
 };

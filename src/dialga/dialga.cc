@@ -6,10 +6,9 @@ DialgaPlanProvider::DialgaPlanProvider(PlanFactory factory,
                                        const PatternInfo& pattern,
                                        const Features& features,
                                        const Thresholds& thresholds,
-                                       std::size_t pm_buffer_bytes,
-                                       const SelectorOptions& selector)
+                                       std::size_t pm_buffer_bytes)
     : factory_(std::move(factory)),
-      coord_(pattern, features, thresholds, pm_buffer_bytes, selector) {}
+      coord_(pattern, features, thresholds, pm_buffer_bytes) {}
 
 void DialgaPlanProvider::observe_pattern(const PatternInfo& pattern) {
   coord_.update_pattern(pattern);
@@ -28,40 +27,15 @@ const ec::EncodePlan& DialgaPlanProvider::next_plan(
 
 DialgaCodec::DialgaCodec(std::size_t k, std::size_t m, ec::SimdWidth simd,
                          Features features, Thresholds thresholds)
-    : inner_(k, m, simd), features_(features), thresholds_(thresholds) {
-  // The host face never builds a Coordinator, so register the
-  // selector/plan-cache families here: a scrape sees them at zero.
-  TouchSelectorMetrics();
-}
-
-void DialgaCodec::set_selector_options(const SelectorOptions& opts) {
-  std::lock_guard<std::mutex> lock(host_mu_);
-  selector_opts_ = opts;
-  host_cache_loaded_ = false;
-}
+    : inner_(k, m, simd), features_(features), thresholds_(thresholds) {}
 
 Strategy DialgaCodec::host_strategy(std::size_t block_size) const {
-  const PatternInfo pattern{params().k, params().m, block_size, 1};
-  if (selector_opts_.enabled) {
-    // Read-only plan-cache replay: only the learning path (a live
-    // Coordinator's selector) commits entries, each with a measured
-    // reward; the host face never writes the file.
-    std::lock_guard<std::mutex> lock(host_mu_);
-    if (!host_cache_loaded_) {
-      host_cache_loaded_ = true;
-      if (!selector_opts_.plan_cache_path.empty()) {
-        host_cache_.load_warn_if_corrupt(selector_opts_.plan_cache_path);
-      }
-    }
-    if (const PlanCache::Entry* e = host_cache_.lookup(ShapeKey(pattern))) {
-      return ReplayStrategy(Strategy::from_key(e->strategy_key), features_);
-    }
-  }
-  // Otherwise the coordinator's initial strategy for this pattern: its
+  // The coordinator's initial strategy for this pattern: its
   // software-prefetch distance feeds the fused driver's branchless
   // prefetch-pointer array (output stays bit-identical to plain ISA-L —
   // scheduling only moves cache fills).
-  return InitialStrategy(pattern, features_, thresholds_, 0);
+  return InitialStrategy({params().k, params().m, block_size, 1}, features_,
+                         thresholds_, 0);
 }
 
 void DialgaCodec::encode(std::size_t block_size,
@@ -104,8 +78,7 @@ std::unique_ptr<DialgaPlanProvider> DialgaCodec::make_encode_provider(
       [inner, cost, block_size](const ec::IsalPlanOptions& opts) {
         return inner->encode_plan_with(block_size, cost, opts);
       },
-      pattern, features_, thresholds_, cfg.pm_read_buffer_total(),
-      selector_opts_);
+      pattern, features_, thresholds_, cfg.pm_read_buffer_total());
 }
 
 std::unique_ptr<DialgaPlanProvider> DialgaCodec::make_decode_provider(
@@ -119,8 +92,7 @@ std::unique_ptr<DialgaPlanProvider> DialgaCodec::make_decode_provider(
           const ec::IsalPlanOptions& opts) {
         return inner->decode_plan_with(block_size, cost, erasures, opts);
       },
-      pattern, features_, thresholds_, cfg.pm_read_buffer_total(),
-      selector_opts_);
+      pattern, features_, thresholds_, cfg.pm_read_buffer_total());
 }
 
 }  // namespace dialga

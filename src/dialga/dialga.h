@@ -16,7 +16,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
 #include "dialga/coordinator.h"
@@ -26,9 +25,10 @@
 
 namespace dialga {
 
-/// Adaptive plan provider: coordinator + plan cache. The plan factory
-/// maps realized plan options to a concrete plan (encode or decode),
-/// which is how one provider class serves both directions and LRC.
+/// Adaptive plan provider: coordinator + per-strategy plan map. The
+/// plan factory maps realized plan options to a concrete plan (encode
+/// or decode), which is how one provider class serves both directions
+/// and LRC.
 class DialgaPlanProvider : public ec::PlanProvider {
  public:
   using PlanFactory =
@@ -36,8 +36,7 @@ class DialgaPlanProvider : public ec::PlanProvider {
 
   DialgaPlanProvider(PlanFactory factory, const PatternInfo& pattern,
                      const Features& features, const Thresholds& thresholds,
-                     std::size_t pm_buffer_bytes,
-                     const SelectorOptions& selector = {});
+                     std::size_t pm_buffer_bytes);
 
   const ec::EncodePlan& next_plan(std::size_t tid,
                                   simmem::MemorySystem& mem) override;
@@ -68,12 +67,6 @@ class DialgaCodec : public ec::Codec {
               Features features = Features::all(),
               Thresholds thresholds = Thresholds{});
 
-  /// Enable the plan cache: providers built afterwards get a
-  /// StrategySelector, and the host encode/decode face replays plans
-  /// from the persistent plan cache (loaded once, never written).
-  void set_selector_options(const SelectorOptions& opts);
-  const SelectorOptions& selector_options() const { return selector_opts_; }
-
   std::string name() const override { return "DIALGA"; }
   ec::CodeParams params() const override { return inner_.params(); }
   ec::SimdWidth simd() const override { return inner_.simd(); }
@@ -103,21 +96,15 @@ class DialgaCodec : public ec::Codec {
   const Thresholds& thresholds() const { return thresholds_; }
   const ec::IsalCodec& inner() const { return inner_; }
 
-  /// Strategy encode()/decode() run for this block size: the plan-cache
-  /// entry for the shape when the selector is on and has one (replayed
-  /// through ReplayStrategy, as the coordinator does), the
-  /// coordinator's initial strategy otherwise. Publishes no coordinator
-  /// metrics.
+  /// Strategy encode()/decode() run for this block size: the
+  /// coordinator's initial strategy for the single-thread shape.
+  /// Publishes no coordinator metrics.
   Strategy host_strategy(std::size_t block_size) const;
 
  private:
   ec::IsalCodec inner_;
   Features features_;
   Thresholds thresholds_;
-  SelectorOptions selector_opts_;
-  mutable std::mutex host_mu_;
-  mutable PlanCache host_cache_;
-  mutable bool host_cache_loaded_ = false;
 };
 
 }  // namespace dialga

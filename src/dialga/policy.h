@@ -66,27 +66,13 @@ struct Strategy {
     return o;
   }
 
-  /// Stable key for the plan cache.
+  /// Stable key: the provider's per-strategy plan map and the
+  /// coordinator's window records are keyed by it.
   std::uint64_t key() const {
     return (hw_prefetch ? 1ULL : 0ULL) | (widen_to_xpline ? 2ULL : 0ULL) |
            (static_cast<std::uint64_t>(sw_distance) << 2) |
            (static_cast<std::uint64_t>(xpline_first_distance) << 24) |
            (static_cast<std::uint64_t>(sw_tail_offset) << 44);
-  }
-
-  /// Inverse of key(): reconstruct a Strategy from its cache key (the
-  /// persistent plan cache stores keys, not structs). Field widths
-  /// match the packing above: 22 bits sw_distance, 20 bits each for
-  /// xpline_first_distance and sw_tail_offset.
-  static Strategy from_key(std::uint64_t key) {
-    Strategy s;
-    s.hw_prefetch = (key & 1ULL) != 0;
-    s.widen_to_xpline = (key & 2ULL) != 0;
-    s.sw_distance = static_cast<std::size_t>((key >> 2) & 0x3FFFFFULL);
-    s.xpline_first_distance =
-        static_cast<std::size_t>((key >> 24) & 0xFFFFFULL);
-    s.sw_tail_offset = static_cast<std::size_t>((key >> 44) & 0xFFFFFULL);
-    return s;
   }
 };
 

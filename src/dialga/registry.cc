@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 
 #include "dialga/dialga.h"
 #include "ec/isal.h"
@@ -51,17 +49,6 @@ std::unique_ptr<Codec> MakeCodec(const CodecSpec& spec) {
 std::vector<std::string> KnownCodecs() {
   return {"ISA-L", "ISA-L-D", "Zerasure", "Cerasure",
           "DIALGA", "RS16",   "LRC"};
-}
-
-bool EnvFlag(const char* name, bool def) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return def;
-  const std::string v = Canon(raw);
-  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
-  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
-  std::fprintf(stderr, "dialga: %s='%s' is not a valid flag; using default %s\n",
-               name, raw, def ? "on" : "off");
-  return def;
 }
 
 }  // namespace dialga

@@ -30,9 +30,4 @@ std::unique_ptr<Codec> MakeCodec(const CodecSpec& spec);
 /// Names MakeCodec understands, canonical capitalization.
 std::vector<std::string> KnownCodecs();
 
-/// Hardened DIALGA_* on/off flag: accepts 1/0, true/false, on/off,
-/// yes/no (case-insensitive); anything else warns on stderr and keeps
-/// the default. An unset variable returns the default silently.
-bool EnvFlag(const char* name, bool def);
-
 }  // namespace dialga

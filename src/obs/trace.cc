@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,15 +25,26 @@ const char* to_string(Stage s) {
   return "?";
 }
 
+bool EnvFlag(const char* name, bool def) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return def;
+  std::string v(raw);
+  std::transform(v.begin(), v.end(), v.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
+  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
+  std::fprintf(stderr,
+               "dialga: %s='%s' is not a valid flag; using default %s\n",
+               name, raw, def ? "on" : "off");
+  return def;
+}
+
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 Tracer& Tracer::Global() {
   static Tracer* t = [] {
     auto* tracer = new Tracer;
-    if (const char* env = std::getenv("DIALGA_TRACE");
-        env != nullptr && env[0] != '\0' && std::string(env) != "0") {
-      tracer->set_enabled(true);
-    }
+    tracer->set_enabled(EnvFlag("DIALGA_TRACE", false));
     return tracer;
   }();
   return *t;

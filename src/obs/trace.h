@@ -54,12 +54,18 @@ struct StripeSpan {
   std::string note;         ///< fault-site / error annotation
 };
 
+/// Hardened on/off environment flag: accepts 1/0, true/false, on/off
+/// and yes/no (case-insensitive). An unset variable returns `def`
+/// silently; any other value prints one stderr line and returns `def`.
+bool EnvFlag(const char* name, bool def);
+
 class Tracer {
  public:
   Tracer();
 
   /// Process-wide tracer; enabled at construction when DIALGA_TRACE is
-  /// set in the environment (any non-empty value but "0").
+  /// an on value of EnvFlag (1, true, on, yes). Unset, off spellings
+  /// and malformed values (the latter with a stderr line) leave it off.
   static Tracer& Global();
 
   void set_enabled(bool on) {

@@ -13,6 +13,11 @@ namespace svc {
 
 namespace {
 
+/// Completions kept for the p50/p99 latency window.
+constexpr std::size_t kLatencyWindow = 4096;
+/// Admissions kept for the rolling PatternInfo.
+constexpr std::size_t kPatternWindow = 1024;
+
 std::uint64_t CodecKey(std::size_t k, std::size_t m) {
   return (static_cast<std::uint64_t>(k) << 32) | static_cast<std::uint64_t>(m);
 }
@@ -118,8 +123,8 @@ void StripeService::Init() {
       return std::make_unique<dialga::DialgaCodec>(k, m);
     };
   }
-  latency_ring_.resize(std::max<std::size_t>(1, cfg_.latency_window));
-  pattern_ring_.resize(std::max<std::size_t>(1, cfg_.pattern_window));
+  latency_ring_.resize(kLatencyWindow);
+  pattern_ring_.resize(kPatternWindow);
   // Instantiate the QoS metric families even for ungoverned services
   // so scrapes expose them before (or without) any governed traffic.
   BandwidthGovernor::RegisterMetrics();

@@ -69,10 +69,6 @@ class StripeService {
     /// governor paces what the throttled classes may occupy; the side
     /// pool keeps the latency classes' queueing independent of it).
     std::size_t latency_pool_threads = 0;
-    /// Completions kept for the p50/p99 latency window.
-    std::size_t latency_window = 4096;
-    /// Admissions kept for the rolling PatternInfo.
-    std::size_t pattern_window = 1024;
     /// Builds the codec for a shape with no per-request override. The
     /// default materializes dialga::DialgaCodec(k, m); built codecs are
     /// cached per (k, m) for the service's lifetime.
@@ -131,7 +127,7 @@ class StripeService {
   ServiceStats stats() const;
 
   /// Rolling I/O access pattern of the admitted mix: modal
-  /// (k, m, block_size) over the last pattern_window admissions,
+  /// (k, m, block_size) over the last 1024 admissions,
   /// nthreads = pool concurrency. Zero-initialized before the first
   /// admission.
   dialga::PatternInfo pattern() const;

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
+#include <algorithm>
+#include <cstdio>
 #include <random>
+#include <vector>
 
 #include "bench_util/runner.h"
+#include "bench_util/workload.h"
+#include "ec/executor.h"
 #include "ec/isal.h"
 #include "obs/metrics.h"
 
@@ -190,7 +193,7 @@ TEST(DialgaCodec, NameAndAccessors) {
   EXPECT_EQ(d.inner().name(), "ISA-L");
 }
 
-// --- Host face: pure strategy, read-only plan cache ----------------------
+// --- Host face: pure strategy -------------------------------------------
 
 TEST(DialgaHostFace, EncodesPublishNoCoordinatorMetrics) {
   // RS(48,4) runs pd 48, not the default strategy: a per-call
@@ -216,105 +219,115 @@ TEST(DialgaHostFace, StrategyMatchesCoordinatorInitialStrategy) {
       {2, 1, 128, 1},    {1, 1, 256, 1},   {2, 1, 512, 1},
       {2, 1, 256, 1},    {12, 4, 1024, 1}, {12, 4, 4096, 1},
       {12, 4, 65636, 1}, {48, 4, 65536, 1}};
-  SelectorOptions empty_cache;  // selector on, nothing cached
-  empty_cache.enabled = true;
   for (const PatternInfo& p : shapes) {
     SCOPED_TRACE(::testing::Message() << "RS(" << p.k << "," << p.m
                                       << ") block " << p.block_size);
     const Coordinator coord(p, Features::all(), Thresholds{}, 0);
-    DialgaCodec codec(p.k, p.m);
-    EXPECT_EQ(codec.host_strategy(p.block_size), coord.initial_strategy());
-    codec.set_selector_options(empty_cache);
+    const DialgaCodec codec(p.k, p.m);
     EXPECT_EQ(codec.host_strategy(p.block_size), coord.initial_strategy());
   }
 }
 
-TEST(DialgaHostFace, PlanCacheIsReadOnly) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "dialga_host_face_cache";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const fs::path path = dir / "plans.bin";
-  constexpr std::size_t kBs = 4096;
-  Blocks b = MakeBlocks(8, 3, kBs, 3);
-  auto exercise = [&] {
-    DialgaCodec codec(8, 3);
-    SelectorOptions opts;
-    opts.enabled = true;
-    opts.learn = true;
-    opts.plan_cache_path = path.string();
-    codec.set_selector_options(opts);
-    for (int i = 0; i < 4; ++i) {
-      codec.encode(kBs, b.data_ptrs, b.parity_ptrs);
-      const std::vector<std::size_t> erasures{1};
-      EXPECT_TRUE(codec.decode(kBs, b.all_ptrs, erasures));
+// --- Phase shift: the section 4.1 ladder + hill climb under a moving shape
+
+/// One phase of the 1 <-> 16-thread alternation, measured in sampling
+/// windows.
+struct PhaseOutcome {
+  std::size_t nthreads = 0;
+  std::size_t windows = 0;   ///< sampling windows inside the phase
+  std::size_t to_95 = 0;     ///< windows until >= 95 % of steady state
+  double steady_gbps = 0.0;  ///< median of the phase's second half
+};
+
+struct ShiftRun {
+  std::vector<PhaseOutcome> phases;
+  std::vector<WindowRecord> windows;
+};
+
+/// Drive 8 phases alternating RS(12,4)/1 KiB encodes between 1 and 16
+/// threads through one adaptive provider over one persistent memory
+/// system, so the coordinator's sampling state carries across the
+/// shifts as it would in a long-lived service process. ec::RunThreads
+/// runs each phase directly (bench_util::RunTimed would build a fresh
+/// MemorySystem and restart the clock).
+ShiftRun RunPhaseShift() {
+  constexpr std::size_t kK = 12, kM = 4, kBlock = 1024, kMaxThreads = 16;
+  constexpr std::size_t kPhases = 8;
+  const simmem::SimConfig sim;
+  Thresholds thr;
+  // Dense sampling: recovery is counted in windows, so a phase must
+  // span enough of them for "within 3 windows" to constrain anything.
+  thr.sample_interval_ns = 2.0e5;
+  const DialgaCodec codec(kK, kM, ec::SimdWidth::kAvx512, Features::all(),
+                          thr);
+  auto provider = codec.make_encode_provider({kK, kM, kBlock, 1}, sim);
+  provider->coordinator().set_record_windows(true);
+
+  simmem::MemorySystem mem(sim, kMaxThreads);
+  std::vector<std::size_t> phase_start;
+  for (std::size_t p = 0; p < kPhases; ++p) {
+    const std::size_t nthreads = p % 2 == 0 ? 1 : kMaxThreads;
+    provider->observe_pattern({kK, kM, kBlock, nthreads});
+    phase_start.push_back(provider->coordinator().windows().size());
+
+    bench_util::WorkloadConfig wc;
+    wc.k = kK;
+    wc.m = kM;
+    wc.block_size = kBlock;
+    wc.threads = nthreads;
+    wc.total_data_bytes = nthreads == 1 ? (3ull << 20) : (24ull << 20);
+    wc.seed = 100 + p;
+    bench_util::Workload wl = bench_util::BuildWorkload(wc);
+    for (ec::ThreadWork& w : wl.work) w.provider = provider.get();
+    ec::RunThreads(mem, wl.work);
+    // Bring every core to the same clock before the next phase: a
+    // 1-thread phase leaves core 0 far ahead, and the next 16-thread
+    // phase would otherwise interleave "in the past".
+    const double clock = mem.max_clock();
+    for (std::size_t t = 0; t < kMaxThreads; ++t) mem.advance_to(t, clock);
+  }
+
+  ShiftRun run;
+  run.windows = provider->coordinator().windows();
+  for (std::size_t p = 0; p < kPhases; ++p) {
+    const std::size_t lo = phase_start[p];
+    const std::size_t hi =
+        p + 1 < kPhases ? phase_start[p + 1] : run.windows.size();
+    PhaseOutcome out;
+    out.nthreads = p % 2 == 0 ? 1 : kMaxThreads;
+    out.windows = hi - lo;
+    std::vector<double> tail;
+    for (std::size_t i = lo + out.windows / 2; i < hi; ++i) {
+      tail.push_back(run.windows[i].gbps);
     }
-    return codec.host_strategy(kBs);
-  };
-
-  // Cold: a miss must not create the file.
-  exercise();
-  EXPECT_FALSE(fs::exists(path));
-
-  // Warm: a hit replays the cached plan and leaves the file untouched.
-  Strategy cached;
-  cached.sw_distance = 24;
-  PlanCache cache;
-  cache.insert(ShapeKey({8, 3, kBs, 1}), {cached.key(), 0.5});
-  ASSERT_TRUE(cache.flush(path.string()));
-  auto slurp = [&] {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
-  const std::string bytes = slurp();
-  const auto mtime = fs::last_write_time(path);
-  EXPECT_EQ(exercise(), cached);
-  EXPECT_EQ(slurp(), bytes);
-  EXPECT_EQ(fs::last_write_time(path), mtime);
-  fs::remove_all(dir);
+    std::sort(tail.begin(), tail.end());
+    out.steady_gbps = tail.empty() ? 0.0 : tail[tail.size() / 2];
+    out.to_95 = out.windows;  // "never" until a window reaches it
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (run.windows[i].gbps >= 0.95 * out.steady_gbps) {
+        out.to_95 = i - lo;
+        break;
+      }
+    }
+    run.phases.push_back(out);
+  }
+  return run;
 }
 
-TEST(DialgaHostFace, PlanCacheReplayHonoursFeatureGates) {
-  // A cached entry is a full Strategy; replaying it must apply the same
-  // Features gates as the coordinator does, so a codec built without
-  // software prefetch runs pd 0 with or without a cache entry.
-  namespace fs = std::filesystem;
-  const fs::path path =
-      fs::temp_directory_path() / "dialga_host_face_gates.bin";
-  constexpr std::size_t kBs = 4096;
-  const PatternInfo pattern{8, 3, kBs, 1};
-  Strategy cached;
-  cached.sw_distance = 24;
-  cached.xpline_first_distance = 28;
-  PlanCache cache;
-  cache.insert(ShapeKey(pattern), {cached.key(), 0.5});
-  ASSERT_TRUE(cache.flush(path.string()));
-
-  SelectorOptions opts;
-  opts.enabled = true;
-  opts.learn = false;
-  opts.plan_cache_path = path.string();
-  for (const Features& f :
-       {Features::vanilla(), Features::sw_only(), Features::all()}) {
-    SCOPED_TRACE(::testing::Message() << "sw_prefetch " << f.sw_prefetch
-                                      << " hw_prefetch " << f.hw_prefetch);
-    DialgaCodec codec(8, 3, ec::SimdWidth::kAvx512, f);
-    const Strategy cold = codec.host_strategy(kBs);
-    codec.set_selector_options(opts);
-    const Strategy warm = codec.host_strategy(kBs);
-    if (!f.sw_prefetch) {
-      EXPECT_EQ(cold.sw_distance, 0u);
-      EXPECT_EQ(warm.sw_distance, 0u)
-          << "a cached pd-24 entry must not switch software prefetch on";
-    }
-    EXPECT_EQ(warm, ReplayStrategy(cached, f));
-    // Where the coordinator consults the cache, both faces replay alike.
-    if (f.adaptive && f.sw_prefetch) {
-      const Coordinator coord(pattern, f, Thresholds{}, 0, opts);
-      EXPECT_EQ(warm, coord.initial_strategy());
-    }
+TEST(DialgaTimed, PhaseShiftRecoversWithinThreeWindowsAndReplays) {
+  const ShiftRun a = RunPhaseShift();
+  for (std::size_t p = 0; p < a.phases.size(); ++p) {
+    const PhaseOutcome& o = a.phases[p];
+    std::printf("phase %zu  threads %2zu  windows %2zu  to_95 %zu  "
+                "steady %.3f GB/s\n",
+                p, o.nthreads, o.windows, o.to_95, o.steady_gbps);
+    SCOPED_TRACE(::testing::Message() << "phase " << p);
+    EXPECT_GE(o.windows, 6u);
+    EXPECT_LE(o.to_95, 3u);
   }
-  fs::remove(path);
+  // Decisions are a pure function of the window sequence: no seed, no
+  // state outside the coordinator.
+  EXPECT_EQ(a.windows, RunPhaseShift().windows);
 }
 
 }  // namespace

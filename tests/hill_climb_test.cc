@@ -103,7 +103,7 @@ TEST(HillClimber, NoisyPlateauTerminates) {
   EXPECT_TRUE(hc.converged()) << "flat objective must still terminate";
 }
 
-// --- Edge cases the selector's fallback-explorer path depends on ------
+// --- Edge cases the coordinator's distance search depends on ----------
 
 TEST(HillClimber, SinglePointSpaceConvergesImmediately) {
   // lo == hi: there is nothing to search. The climber must converge at

@@ -1,11 +1,14 @@
 // Observability layer: counter exactness under concurrent increments,
 // histogram bucketing and percentile estimates on known distributions,
-// registry get-or-create identity, scrape-time collectors, and both
-// dump formats — the Prometheus text round-trips through a tiny parser
-// so a schema drift breaks here before it breaks a real scraper.
+// registry get-or-create identity, scrape-time collectors, both dump
+// formats — the Prometheus text round-trips through a tiny parser so a
+// schema drift breaks here before it breaks a real scraper — and the
+// tracer, including the on/off flag parser behind DIALGA_TRACE.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -368,6 +371,37 @@ TEST(Tracer, DumpJsonlEmitsOneLinePerSpan) {
     ++lines;
   }
   EXPECT_EQ(lines, 3u);
+}
+
+// Tracer::Global() reads DIALGA_TRACE once per process, so the flag
+// parser it uses is tested directly.
+TEST(EnvFlag, AcceptsTheDocumentedSpellingsCaseInsensitively) {
+  constexpr const char* kVar = "DIALGA_OBS_TEST_FLAG";
+  for (const char* on : {"1", "true", "on", "yes", "TRUE", "On", "YES"}) {
+    setenv(kVar, on, 1);
+    EXPECT_TRUE(EnvFlag(kVar, false)) << on;
+  }
+  for (const char* off : {"0", "false", "off", "no", "FALSE", "Off", "NO"}) {
+    setenv(kVar, off, 1);
+    EXPECT_FALSE(EnvFlag(kVar, true)) << off;
+  }
+  unsetenv(kVar);
+  EXPECT_TRUE(EnvFlag(kVar, true));
+  EXPECT_FALSE(EnvFlag(kVar, false));
+}
+
+TEST(EnvFlag, MalformedValuePrintsOneLineAndKeepsTheDefault) {
+  constexpr const char* kVar = "DIALGA_OBS_TEST_FLAG";
+  for (const char* bad : {"", "2", "enable", "offf"}) {
+    setenv(kVar, bad, 1);
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(EnvFlag(kVar, false)) << "'" << bad << "'";
+    EXPECT_TRUE(EnvFlag(kVar, true)) << "'" << bad << "'";
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 2) << err;
+    EXPECT_NE(err.find(kVar), std::string::npos) << err;
+  }
+  unsetenv(kVar);
 }
 
 TEST(Global, RegistryAndTracerAreStableSingletons) {

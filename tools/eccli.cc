@@ -76,7 +76,6 @@ struct Options {
   std::string metrics_out;
   std::string trace_out;
   std::string isa;
-  std::string plan_cache;  // --plan-cache PATH (or DIALGA_PLAN_CACHE)
   aio::Mode aio = aio::ModeFromEnv();
   std::size_t cluster_nodes = 0;  // 0 = single-process shard store
   std::size_t local = 0;          // LRC local parities (cluster mode)
@@ -118,9 +117,6 @@ bool Parse(int argc, char** argv, Options* opt) {
     } else if (arg == "--isa") {
       if (i + 1 >= argc) return false;
       opt->isa = argv[++i];
-    } else if (arg == "--plan-cache") {
-      if (i + 1 >= argc) return false;
-      opt->plan_cache = argv[++i];
     } else if (arg == "--aio") {
       if (i + 1 >= argc) return false;
       const auto mode = aio::ParseMode(argv[++i]);
@@ -149,19 +145,6 @@ bool Parse(int argc, char** argv, Options* opt) {
     }
   }
   return true;
-}
-
-/// Plan-cache configuration for the codec: environment first
-/// (DIALGA_PLAN_CACHE, DIALGA_SELECTOR), then --plan-cache PATH, which
-/// enables replay from that cache file. The host face eccli runs only
-/// reads the cache; it never writes it.
-dialga::SelectorOptions SelectorFromOptions(const Options& opt) {
-  dialga::SelectorOptions sel = dialga::SelectorOptions::FromEnv();
-  if (!opt.plan_cache.empty()) {
-    sel.plan_cache_path = opt.plan_cache;
-    sel.enabled = true;
-  }
-  return sel;
 }
 
 /// The manifest pins (k, m); commands other than encode read it so the
@@ -465,7 +448,6 @@ int RunCommand(const std::string& cmd, const Options& opt) {
       return kExitUsage;
     }
     dialga::DialgaCodec codec(opt.k, opt.m);
-    codec.set_selector_options(SelectorFromOptions(opt));
     shard::ShardStore store(codec, opt.block);
     attach(store);
     const shard::Status st =
@@ -487,7 +469,6 @@ int RunCommand(const std::string& cmd, const Options& opt) {
     const auto mf = ManifestOf(opt.positional[0], &mf_status);
     if (!mf) return Report(mf_status);
     dialga::DialgaCodec codec(mf->k, mf->m);
-    codec.set_selector_options(SelectorFromOptions(opt));
     shard::ShardStore store(codec, mf->block_size);
     attach(store);
 
