@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   // Host-pool rebuild: the same single-device-loss decode executed
   // functionally (real buffers, real repair) on the persistent pool,
   // reused across both shapes; a failure count of zero pins the clean
-  // path (repair::ScrubStripes handles the selective-retry case).
+  // path.
   {
     figure.host_series_title("host work-stealing pool, functional rebuild");
     bool all_repaired = true;

@@ -17,6 +17,7 @@
 
 #include "bench_util/runner.h"
 #include "dialga/dialga.h"
+#include "integrity/checksum.h"
 #include "simmem/address_space.h"
 
 namespace {
@@ -26,17 +27,8 @@ constexpr std::size_t kM = 3;
 constexpr std::size_t kBlock = 1024;
 constexpr std::size_t kStripeBytes = kK * kBlock;
 
-std::uint64_t Fnv1a(const std::byte* p, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint64_t>(p[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// One erasure-coded stripe of PM, holding up to kStripeBytes of value
-/// data, with per-block checksums for scrub.
+/// data, with per-block CRC-32C checksums for scrub.
 class Stripe {
  public:
   explicit Stripe(simmem::AddressSpace& space) {
@@ -62,7 +54,7 @@ class Stripe {
       parity.push_back(blocks_[kK + j].host);
     codec.encode(kBlock, data, parity);
     for (std::size_t i = 0; i < kK + kM; ++i) {
-      checksum_[i] = Fnv1a(blocks_[i].host, kBlock);
+      checksum_[i] = integrity::Crc32c(blocks_[i].host, kBlock);
     }
   }
 
@@ -86,21 +78,23 @@ class Stripe {
   int scrub(const dialga::DialgaCodec& codec) {
     std::vector<std::size_t> bad;
     for (std::size_t i = 0; i < kK + kM; ++i) {
-      if (Fnv1a(blocks_[i].host, kBlock) != checksum_[i]) bad.push_back(i);
+      if (integrity::Crc32c(blocks_[i].host, kBlock) != checksum_[i]) {
+        bad.push_back(i);
+      }
     }
     if (bad.empty()) return 0;
     std::vector<std::byte*> all;
     for (auto& b : blocks_) all.push_back(b.host);
     if (!codec.decode(kBlock, all, bad)) return -1;
     for (const std::size_t i : bad) {
-      if (Fnv1a(blocks_[i].host, kBlock) != checksum_[i]) return -1;
+      if (integrity::Crc32c(blocks_[i].host, kBlock) != checksum_[i]) return -1;
     }
     return static_cast<int>(bad.size());
   }
 
  private:
   std::array<simmem::Region, kK + kM> blocks_{};
-  std::array<std::uint64_t, kK + kM> checksum_{};
+  std::array<std::uint32_t, kK + kM> checksum_{};
 };
 
 }  // namespace

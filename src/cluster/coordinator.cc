@@ -304,7 +304,7 @@ void Coordinator::MaybeReadRepair(std::uint64_t stripe, std::uint32_t shard,
   }
   auto& im = integrity::Metrics::Get();
   const bool stored = StoreChunk(stripe, shard, table[shard], bytes);
-  im.heal("cluster", stored);
+  im.heal(integrity::Layer::kCluster, stored);
   std::lock_guard<std::mutex> lk(mu_);
   if (stored) {
     heal_attempts_.erase(stripe);
@@ -312,7 +312,7 @@ void Coordinator::MaybeReadRepair(std::uint64_t stripe, std::uint32_t shard,
   }
   if (++heal_attempts_[stripe] >= cfg_.heal_retry_cap) {
     quarantined_.insert(stripe);
-    im.quarantine("cluster");
+    im.quarantine(integrity::Layer::kCluster);
   }
 }
 
@@ -377,11 +377,6 @@ HeartbeatReport Coordinator::heartbeat() {
       .gauge("dialga_cluster_nodes_up", {})
       .set(static_cast<double>(report.up.size()));
   return report;
-}
-
-void Coordinator::report_node_pressure(NodeId node, bool contended) {
-  if (cfg_.governor == nullptr) return;
-  cfg_.governor->report_pressure(node, contended);
 }
 
 void Coordinator::ApplyPressure() {

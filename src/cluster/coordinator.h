@@ -167,11 +167,6 @@ class Coordinator {
   /// never mutates it.
   void set_read_repair(bool on) { cfg_.read_repair = on; }
 
-  /// Feed one node's contention bit into the governor's aggregated
-  /// per-node pressure (no-op without a governor). Any node under
-  /// pressure clamps the cluster-wide repair rate.
-  void report_node_pressure(NodeId node, bool contended);
-
  private:
   /// Re-poll the governor and push its rate scale onto both repair
   /// buckets; called at every throttle site so the clamp takes effect

@@ -102,9 +102,9 @@ void Node::LoadDir() {
     const std::uint64_t sum = GetTrailerU64(raw.data() + payload);
     const std::uint64_t magic = GetTrailerU64(raw.data() + payload + 8);
     if (magic != kChunkMagic) continue;  // torn trailer / foreign file
-    integrity::Metrics::Get().verify("cluster");
+    integrity::Metrics::Get().verify(integrity::Layer::kCluster);
     if (integrity::Crc32c(raw.data(), payload) != sum) {
-      integrity::Metrics::Get().corrupt("cluster");
+      integrity::Metrics::Get().corrupt(integrity::Layer::kCluster);
       continue;  // bit rot
     }
     raw.resize(payload);
@@ -140,9 +140,9 @@ WireStatus Node::FetchChunk(std::uint64_t stripe, std::uint32_t shard,
   const auto it = chunks_.find({stripe, shard});
   if (it == chunks_.end()) return WireStatus::kNotFound;
   const Chunk& c = it->second;
-  integrity::Metrics::Get().verify("cluster");
+  integrity::Metrics::Get().verify(integrity::Layer::kCluster);
   if (integrity::Crc32c(c.bytes.data(), c.bytes.size()) != c.sum) {
-    integrity::Metrics::Get().corrupt("cluster");
+    integrity::Metrics::Get().corrupt(integrity::Layer::kCluster);
     return WireStatus::kCorrupt;
   }
   *out = c.bytes;

@@ -1,86 +1,47 @@
 #include "ec/parallel.h"
 
-#include <algorithm>
 #include <mutex>
 
 namespace ec {
 
-namespace {
-
-/// Resolve the `threads` hint with std::size_t arithmetic throughout;
-/// the `hardware_concurrency() == 0` fallback lives in
-/// ThreadPool::DefaultWorkerCount().
-std::size_t WorkerCount(std::size_t requested) {
-  return requested != 0 ? requested : ThreadPool::DefaultWorkerCount();
-}
-
-/// Serial on the caller for threads <= 1 or trivial job counts,
-/// otherwise the given pool (or the process-wide shared one).
-void Dispatch(ThreadPool* pool, std::size_t threads, std::size_t jobs,
-              const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    pool->parallel_for(jobs, body);
-    return;
-  }
-  if (WorkerCount(threads) <= 1 || jobs <= 1) {
-    for (std::size_t i = 0; i < jobs; ++i) body(i);
-    return;
-  }
-  ThreadPool::Shared().parallel_for(jobs, body);
-}
-
-void EncodeImpl(ThreadPool* pool, std::size_t threads, const Codec& codec,
-                std::size_t block_size,
-                std::span<const StripeBuffers> stripes) {
-  Dispatch(pool, threads, stripes.size(), [&](std::size_t i) {
-    codec.encode(block_size, stripes[i].data, stripes[i].parity);
-  });
-}
-
-std::size_t DecodeImpl(ThreadPool* pool, std::size_t threads,
-                       const Codec& codec, std::size_t block_size,
-                       std::span<const DecodeJob> jobs,
-                       std::vector<std::size_t>* failed) {
-  std::mutex mu;
-  std::vector<std::size_t> failed_indices;
-  Dispatch(pool, threads, jobs.size(), [&](std::size_t i) {
-    if (!codec.decode(block_size, jobs[i].blocks, jobs[i].erasures)) {
-      std::lock_guard<std::mutex> lk(mu);
-      failed_indices.push_back(i);
-    }
-  });
-  std::sort(failed_indices.begin(), failed_indices.end());
-  const std::size_t failures = failed_indices.size();
-  if (failed != nullptr) *failed = std::move(failed_indices);
-  return failures;
-}
-
-}  // namespace
-
 void ParallelEncode(const Codec& codec, std::size_t block_size,
                     std::span<const StripeBuffers> stripes,
                     std::size_t threads) {
-  EncodeImpl(nullptr, threads, codec, block_size, stripes);
+  // Serial on the caller for threads <= 1 or trivial stripe counts,
+  // otherwise the process-wide shared pool. threads == 0 resolves via
+  // ThreadPool::DefaultWorkerCount(), which owns the
+  // hardware_concurrency() == 0 fallback.
+  const std::size_t workers =
+      threads != 0 ? threads : ThreadPool::DefaultWorkerCount();
+  if (workers <= 1 || stripes.size() <= 1) {
+    for (const StripeBuffers& sb : stripes) {
+      codec.encode(block_size, sb.data, sb.parity);
+    }
+    return;
+  }
+  ParallelEncode(ThreadPool::Shared(), codec, block_size, stripes);
 }
 
 void ParallelEncode(ThreadPool& pool, const Codec& codec,
                     std::size_t block_size,
                     std::span<const StripeBuffers> stripes) {
-  EncodeImpl(&pool, 0, codec, block_size, stripes);
-}
-
-std::size_t ParallelDecode(const Codec& codec, std::size_t block_size,
-                           std::span<const DecodeJob> jobs,
-                           std::size_t threads,
-                           std::vector<std::size_t>* failed) {
-  return DecodeImpl(nullptr, threads, codec, block_size, jobs, failed);
+  pool.parallel_for(stripes.size(), [&](std::size_t i) {
+    codec.encode(block_size, stripes[i].data, stripes[i].parity);
+  });
 }
 
 std::size_t ParallelDecode(ThreadPool& pool, const Codec& codec,
                            std::size_t block_size,
-                           std::span<const DecodeJob> jobs,
-                           std::vector<std::size_t>* failed) {
-  return DecodeImpl(&pool, 0, codec, block_size, jobs, failed);
+                           std::span<const DecodeJob> jobs) {
+  std::mutex mu;
+  std::size_t failures = 0;
+  pool.parallel_for(jobs.size(), [&](std::size_t i) {
+    if (!codec.decode(block_size, jobs[i].blocks, jobs[i].erasures)) {
+      std::lock_guard<std::mutex> lk(mu);
+      ++failures;
+    }
+  });
+  return failures;
 }
 
 }  // namespace ec

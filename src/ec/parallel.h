@@ -1,7 +1,7 @@
 // Host-parallel functional encoding: spread stripes across the
 // persistent work-stealing pool (ec/thread_pool.h). This is real
 // wall-clock parallelism for library users protecting actual data
-// (the shard store, the PM pool) — unrelated to the simulator's
+// (the shard store, the stripe service) — unrelated to the simulator's
 // modelled cores, which exist to reproduce the paper's scalability
 // figures deterministically.
 //
@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "ec/codec.h"
 #include "ec/thread_pool.h"
@@ -42,24 +41,15 @@ void ParallelEncode(ThreadPool& pool, const Codec& codec,
                     std::size_t block_size,
                     std::span<const StripeBuffers> stripes);
 
-/// Parallel scrub-style decode: repairs each stripe's erasures in
-/// place. Returns the number of stripes that failed to decode; when
-/// `failed` is non-null it receives the failing job indices in
-/// ascending order, so callers (repair::ScrubStripes) can retry or
-/// escalate selectively instead of re-decoding everything.
+/// Parallel scrub-style decode on an explicit pool: repairs each
+/// stripe's erasures in place. Returns the number of stripes that
+/// failed to decode.
 struct DecodeJob {
   std::span<std::byte* const> blocks;        // k + m pointers
   std::span<const std::size_t> erasures;
 };
-std::size_t ParallelDecode(const Codec& codec, std::size_t block_size,
-                           std::span<const DecodeJob> jobs,
-                           std::size_t threads = 0,
-                           std::vector<std::size_t>* failed = nullptr);
-
-/// Same, on an explicit pool.
 std::size_t ParallelDecode(ThreadPool& pool, const Codec& codec,
                            std::size_t block_size,
-                           std::span<const DecodeJob> jobs,
-                           std::vector<std::size_t>* failed = nullptr);
+                           std::span<const DecodeJob> jobs);
 
 }  // namespace ec

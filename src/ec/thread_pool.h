@@ -3,8 +3,8 @@
 // The pool is constructed once and reused across calls: workers park on
 // a condition variable between parallel_for invocations instead of
 // being spawned and joined per call, so repeated ParallelEncode /
-// ParallelDecode rounds (scrubs, rebuild batches, bench iterations) pay
-// no thread-construction cost in the hot loop. Each worker owns a deque
+// ParallelDecode rounds (service batches, bench iterations) pay no
+// thread-construction cost in the hot loop. Each worker owns a deque
 // fed round-robin by parallel_for; an idle worker steals from the back
 // of a victim's deque, which balances uneven stripe costs (mixed block
 // sizes, partial stripes) without a global queue bottleneck.

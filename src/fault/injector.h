@@ -1,5 +1,5 @@
 // Deterministic fault injection for robustness testing: named sites in
-// the shard/service/pool/repair layers ask a process-wide Injector
+// the shard/aio/service/cluster layers ask a process-wide Injector
 // whether this operation should fail, and plans installed per site
 // decide — by every-nth counter, an explicit list of operation
 // numbers, or a seeded pseudo-random probability. All three are
@@ -21,11 +21,8 @@
 //   shard.write       durable shard/manifest write fails (errno)
 //   aio.submit        io_uring_enter submission fails (uring only)
 //   aio.cqe           a ring completion is rewritten to the errno
-//   pmpool.alloc      PM stripe allocation fails
 //   svc.admission     service admission reports the queue full
 //   svc.codec         codec batch execution throws InjectedFault
-//   repair.scrub      one scrub stripe decode reports failure
-//   repair.rebuild    one rebuild stripe decode reports failure
 //   cluster.send      a cluster RPC fails on the sender side
 //   cluster.recv      a cluster RPC fails on the receiver side
 //
@@ -34,7 +31,6 @@
 // plan mutates the payload in flight, so verify-on-read defenses are
 // exercised. Distinct site names keep errno op-numbering untouched:
 //   shard.read.corrupt   shard payload bytes mutated after a full read
-//   pmpool.get.corrupt   a PM-resident block rots before Pool::get copies
 //   cluster.recv.corrupt serialized RPC response bytes mutated pre-decode
 //   aio.cqe.corrupt      a uring read completion's buffer is mutated
 //

@@ -111,25 +111,22 @@ std::uint32_t Crc32c(const void* data, std::size_t n) {
 }
 
 struct Metrics::Impl {
-  static constexpr const char* kLayers[3] = {"shard", "pmpool", "cluster"};
+  // Indexed by Layer.
+  static constexpr const char* kLayers[2] = {"shard", "cluster"};
 
-  obs::Counter* verify[3];
-  obs::Counter* corrupt[3];
-  obs::Counter* heal_ok[3];
-  obs::Counter* heal_failed[3];
-  obs::Counter* quarantine[3];
+  obs::Counter* verify[2];
+  obs::Counter* corrupt[2];
+  obs::Counter* heal_ok[2];
+  obs::Counter* heal_failed[2];
+  obs::Counter* quarantine[2];
   obs::Counter* bytes[2];  // [impl: sw=0, hw=1]
 
-  static int LayerIndex(const char* layer) {
-    if (std::strcmp(layer, "shard") == 0) return 0;
-    if (std::strcmp(layer, "pmpool") == 0) return 1;
-    return 2;
-  }
+  static int LayerIndex(Layer layer) { return static_cast<int>(layer); }
 };
 
 Metrics::Metrics() : impl_(new Impl) {
   auto& reg = obs::Registry::Global();
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     const std::string layer = Impl::kLayers[i];
     impl_->verify[i] = &reg.counter(
         "dialga_integrity_verify_total", {{"layer", layer}},
@@ -161,20 +158,20 @@ Metrics& Metrics::Get() {
   return m;
 }
 
-void Metrics::verify(const char* layer, std::uint64_t n) {
+void Metrics::verify(Layer layer, std::uint64_t n) {
   impl_->verify[Impl::LayerIndex(layer)]->inc(n);
 }
 
-void Metrics::corrupt(const char* layer, std::uint64_t n) {
+void Metrics::corrupt(Layer layer, std::uint64_t n) {
   impl_->corrupt[Impl::LayerIndex(layer)]->inc(n);
 }
 
-void Metrics::heal(const char* layer, bool ok, std::uint64_t n) {
+void Metrics::heal(Layer layer, bool ok, std::uint64_t n) {
   const int i = Impl::LayerIndex(layer);
   (ok ? impl_->heal_ok[i] : impl_->heal_failed[i])->inc(n);
 }
 
-void Metrics::quarantine(const char* layer, std::uint64_t n) {
+void Metrics::quarantine(Layer layer, std::uint64_t n) {
   impl_->quarantine[Impl::LayerIndex(layer)]->inc(n);
 }
 

@@ -7,7 +7,7 @@
 // pins the software path, so the CI ISA matrix doubles as a
 // hardware/software differential test.
 //
-// Stored sums (manifest tables, pmpool seals, chunk trailers) are u64
+// Stored sums (manifest tables, chunk trailers) are u64
 // fields holding the CRC zero-extended. Data sealed with any other
 // algorithm fails closed at its format's parser (docs/integrity.md).
 //
@@ -37,23 +37,27 @@ bool Crc32cHardwareAvailable();
 /// True when a Crc32c() call right now would take the hardware path.
 bool Crc32cUsesHardware();
 
+/// The read path a dialga_integrity_* series is attributed to; exported
+/// as the `layer` label ("shard", "cluster").
+enum class Layer { kShard, kCluster };
+
 /// Eagerly registered dialga_integrity_* metrics. Every family/label
 /// combination is created at first Get(), so exporters (and the CI
 /// metrics gate) see the whole schema at zero from the first scrape.
-/// Layers: shard, pmpool, cluster. Heal outcomes: ok, failed.
+/// Heal outcomes: ok, failed.
 struct Metrics {
   static Metrics& Get();
 
   /// dialga_integrity_verify_total{layer}: blocks checksum-verified on
   /// a read path.
-  void verify(const char* layer, std::uint64_t n = 1);
+  void verify(Layer layer, std::uint64_t n = 1);
   /// dialga_integrity_corrupt_total{layer}: verification mismatches.
-  void corrupt(const char* layer, std::uint64_t n = 1);
+  void corrupt(Layer layer, std::uint64_t n = 1);
   /// dialga_integrity_heal_total{layer,outcome}: read-repair attempts.
-  void heal(const char* layer, bool ok, std::uint64_t n = 1);
+  void heal(Layer layer, bool ok, std::uint64_t n = 1);
   /// dialga_integrity_quarantine_total{layer}: stripes/shards given up
   /// on after the heal-retry cap.
-  void quarantine(const char* layer, std::uint64_t n = 1);
+  void quarantine(Layer layer, std::uint64_t n = 1);
   /// dialga_integrity_checksum_bytes_total{impl}: bytes hashed.
   void checksum_bytes(bool hw, std::uint64_t n);
 

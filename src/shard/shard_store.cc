@@ -586,11 +586,11 @@ void ShardStore::load_shards(aio::Transfer& xfer, const fs::path& dir,
     if (!st.ok()) {
       state = ShardState::kMissing;
     } else if (verify_on_read_) {
-      integrity::Metrics::Get().verify("shard");
+      integrity::Metrics::Get().verify(integrity::Layer::kShard);
       if (integrity::Crc32c(shards[s].data(), shards[s].size()) !=
           mf.shard_checksums[s]) {
         state = ShardState::kCorrupt;
-        integrity::Metrics::Get().corrupt("shard");
+        integrity::Metrics::Get().corrupt(integrity::Layer::kShard);
       }
     }
     if (state != ShardState::kIntact) {
@@ -656,15 +656,15 @@ RepairReport ShardStore::repair(const fs::path& dir) const {
   for (const std::size_t s : report.damaged) {
     if (integrity::Crc32c(shards[s].data(), shards[s].size()) !=
         mf->shard_checksums[s]) {
-      integrity::Metrics::Get().heal("shard", false);
+      integrity::Metrics::Get().heal(integrity::Layer::kShard, false);
       continue;  // rebuilt bytes do not match the manifest: refuse
     }
     if (aio::WriteFileDurable(xfer, ShardPath(dir, s), shards[s], kShardSites)
             .ok()) {
       report.repaired.push_back(s);
-      integrity::Metrics::Get().heal("shard", true);
+      integrity::Metrics::Get().heal(integrity::Layer::kShard, true);
     } else {
-      integrity::Metrics::Get().heal("shard", false);
+      integrity::Metrics::Get().heal(integrity::Layer::kShard, false);
     }
   }
   return report;
@@ -715,14 +715,14 @@ Status ShardStore::decode_file(const fs::path& dir,
       for (const std::size_t s : damaged) {
         if (integrity::Crc32c(shards[s].data(), shards[s].size()) !=
             mf->shard_checksums[s]) {
-          integrity::Metrics::Get().heal("shard", false);
+          integrity::Metrics::Get().heal(integrity::Layer::kShard, false);
           continue;
         }
         const bool wrote =
             aio::WriteFileDurable(xfer, ShardPath(dir, s), shards[s],
                                   kShardSites)
                 .ok();
-        integrity::Metrics::Get().heal("shard", wrote);
+        integrity::Metrics::Get().heal(integrity::Layer::kShard, wrote);
       }
     }
   }

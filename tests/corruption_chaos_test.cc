@@ -19,7 +19,6 @@
 #include "cluster/local_cluster.h"
 #include "dialga/dialga.h"
 #include "fault/injector.h"
-#include "pmpool/pool.h"
 #include "shard/shard_store.h"
 
 namespace {
@@ -163,7 +162,7 @@ TEST(CorruptionInjector, SpecAndDescribeRoundTrip) {
   std::string err;
   ASSERT_TRUE(in.install_spec(
       "seed=11;shard.read.corrupt:every=3,corrupt=torn,span=32;"
-      "pmpool.get.corrupt:nth=2+5,corrupt=bitflip",
+      "cluster.recv.corrupt:nth=2+5,corrupt=bitflip",
       &err))
       << err;
   const std::string desc = in.describe();
@@ -350,70 +349,6 @@ TEST(CorruptionChaosMatrix, ShardReadSiteNeverReturnsCorruptAsClean) {
       fs::remove_all(dir);
     }
   }
-}
-
-TEST(CorruptionChaosMatrix, PmpoolGetSiteHealsOrReportsDamage) {
-  InjectorReset reset;
-  for (const std::uint64_t seed : Seeds()) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    fault::Injector::Global().clear();
-    pmpool::PoolConfig cfg;
-    cfg.k = 4;
-    cfg.m = 2;
-    cfg.block_size = 128;
-    pmpool::Pool pool(cfg);
-    std::string value = MakePayload(cfg.k * cfg.block_size * 3, seed);
-    const auto id = pool.put(std::as_bytes(std::span(value)));
-    ASSERT_NE(id, pmpool::Pool::kPutFailed);
-
-    // In-place PM rot on blocks consumed by get(): at most m per
-    // stripe-read (k consults per stripe, fire every 3rd, cap 2 per
-    // plan install — reinstall per read to re-arm).
-    for (int read = 0; read < 4; ++read) {
-      std::string err;
-      ASSERT_TRUE(fault::Injector::Global().install_spec(
-          "seed=" + std::to_string(seed + read) +
-              ";pmpool.get.corrupt:every=3,max=2,corrupt=torn,span=24",
-          &err))
-          << err;
-      const auto got = pool.get(id);
-      fault::Injector::Global().clear();
-      // Verify-on-read heals in place: the value must come back exact.
-      ASSERT_TRUE(got.has_value());
-      ASSERT_EQ(got->size(), value.size());
-      EXPECT_EQ(std::memcmp(got->data(), value.data(), value.size()), 0);
-    }
-    // Converged: a scrub finds nothing left to repair.
-    const auto report = pool.scrub();
-    EXPECT_EQ(report.blocks_damaged, report.blocks_repaired);
-    EXPECT_EQ(pool.quarantined_stripes(), 0u);
-  }
-}
-
-TEST(CorruptionChaosMatrix, PmpoolBeyondParityRotIsExplicitDamage) {
-  InjectorReset reset;
-  pmpool::PoolConfig cfg;
-  cfg.k = 4;
-  cfg.m = 2;
-  cfg.block_size = 128;
-  cfg.heal_retry_cap = 2;
-  pmpool::Pool pool(cfg);
-  std::string value = MakePayload(cfg.k * cfg.block_size, 5);
-  const auto id = pool.put(std::as_bytes(std::span(value)));
-  ASSERT_NE(id, pmpool::Pool::kPutFailed);
-
-  // Rot every data block (4 > m=2): get() must report damage, never
-  // fabricate bytes — and repeated failures quarantine the stripe.
-  std::string err;
-  ASSERT_TRUE(fault::Injector::Global().install_spec(
-      "seed=5;pmpool.get.corrupt:every=1,corrupt=bitflip", &err))
-      << err;
-  for (int read = 0; read < 3; ++read) {
-    EXPECT_FALSE(pool.get(id).has_value());
-  }
-  fault::Injector::Global().clear();
-  EXPECT_EQ(pool.quarantined_stripes(), 1u);
-  EXPECT_FALSE(pool.get(id).has_value());  // quarantined: damage, named
 }
 
 TEST(CorruptionChaosMatrix, ClusterRecvSiteNeverDeliversCorruptFrames) {

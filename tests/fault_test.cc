@@ -215,7 +215,7 @@ TEST_F(FaultTest, SpecParsesSeedSitesAndAllKeys) {
   std::string err;
   ASSERT_TRUE(Injector::Global().install_spec(
       "seed=99;shard.read:p=0.5,err=EINTR;svc.admission:nth=2+5,max=1;"
-      "pmpool.alloc:every=3,err=12",
+      "shard.write:every=3,err=12",
       &err))
       << err;
   EXPECT_EQ(Injector::Global().seed(), 99u);
@@ -224,9 +224,9 @@ TEST_F(FaultTest, SpecParsesSeedSitesAndAllKeys) {
   EXPECT_EQ(FiringOps("svc.admission", 6),
             (std::vector<std::uint64_t>{2}));
   // err=EINTR is delivered symbolically, err=12 numerically.
-  EXPECT_EQ(FiringOps("pmpool.alloc", 2),
+  EXPECT_EQ(FiringOps("shard.write", 2),
             std::vector<std::uint64_t>{});  // 3rd op fires, not 1st/2nd
-  EXPECT_EQ(Injector::Global().fire("pmpool.alloc"), 12);
+  EXPECT_EQ(Injector::Global().fire("shard.write"), 12);
 }
 
 TEST_F(FaultTest, SpecRejectsMalformedInput) {

@@ -1,9 +1,10 @@
 // Checksum-layer tests: CRC-32C known-answer vectors, the hardware/
 // software differential at every tail length, the manifest format
 // pinned byte for byte, fail-closed rejection of generations this code
-// does not read (FNV-1a or algo-less manifests), and the
+// does not read (FNV-1a or algo-less manifests), the
 // manifest-hardening regressions (a bit-flipped or truncated manifest
-// must be a parse failure, never a silently-zero table).
+// must be a parse failure, never a silently-zero table), and the
+// per-layer attribution of the dialga_integrity_* counters.
 #include <sys/wait.h>
 
 #include <cstddef>
@@ -20,6 +21,7 @@
 #include "dialga/dialga.h"
 #include "gf/gf_simd.h"
 #include "integrity/checksum.h"
+#include "obs/metrics.h"
 #include "shard/shard_store.h"
 
 namespace {
@@ -278,6 +280,48 @@ TEST(CrossGeneration, Crc32cManifestRecordsAlgorithm) {
   EXPECT_NE(text.find("algo crc32c\n"), std::string::npos);
   EXPECT_NE(text.find("manifestsum "), std::string::npos);
   EXPECT_TRUE(store.verify(dir).empty());
+  fs::remove_all(dir);
+}
+
+// --- Per-layer metric attribution -------------------------------------------
+
+std::uint64_t IntegrityCount(const std::string& family,
+                             const std::string& layer) {
+  return obs::Registry::Global().counter(family, {{"layer", layer}}).value();
+}
+
+TEST(IntegrityMetrics, CorruptShardDecodeCountsOnTheShardLayerOnly) {
+  const fs::path dir = fs::temp_directory_path() / "dialga_integrity_layer";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string payload(3000, 'z');
+  WriteFileBytes(dir / "input.bin", payload);
+
+  const dialga::DialgaCodec codec(4, 2);
+  shard::ShardStore store(codec, 256);
+  ASSERT_TRUE(store.encode_file(dir / "input.bin", dir).ok());
+  std::string shard = ReadFileBytes(dir / "shard_002");
+  ASSERT_FALSE(shard.empty());
+  shard[shard.size() / 2] ^= 0x20;
+  WriteFileBytes(dir / "shard_002", shard);
+
+  // Register the families (with their help text) before reading them.
+  (void)integrity::Metrics::Get();
+  const char* kVerify = "dialga_integrity_verify_total";
+  const char* kCorrupt = "dialga_integrity_corrupt_total";
+  const std::uint64_t shard_verify = IntegrityCount(kVerify, "shard");
+  const std::uint64_t shard_corrupt = IntegrityCount(kCorrupt, "shard");
+  const std::uint64_t cluster_verify = IntegrityCount(kVerify, "cluster");
+  const std::uint64_t cluster_corrupt = IntegrityCount(kCorrupt, "cluster");
+
+  ASSERT_TRUE(store.decode_file(dir, dir / "out.bin").ok());
+  EXPECT_EQ(ReadFileBytes(dir / "out.bin"), payload);
+
+  // One verify per shard read (k + m), one mismatch, all on "shard".
+  EXPECT_EQ(IntegrityCount(kVerify, "shard") - shard_verify, 6u);
+  EXPECT_EQ(IntegrityCount(kCorrupt, "shard") - shard_corrupt, 1u);
+  EXPECT_EQ(IntegrityCount(kVerify, "cluster"), cluster_verify);
+  EXPECT_EQ(IntegrityCount(kCorrupt, "cluster"), cluster_corrupt);
   fs::remove_all(dir);
 }
 

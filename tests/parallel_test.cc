@@ -87,7 +87,8 @@ TEST(ParallelDecode, RepairsManyStripes) {
     }
     jobs.push_back({all[s], erasures});
   }
-  EXPECT_EQ(ParallelDecode(codec, 512, jobs, 4), 0u);
+  ThreadPool pool(4);
+  EXPECT_EQ(ParallelDecode(pool, codec, 512, jobs), 0u);
   EXPECT_EQ(corpus.storage, golden);
 }
 
@@ -104,39 +105,8 @@ TEST(ParallelDecode, CountsFailures) {
     }
     jobs.push_back({all[s], too_many});
   }
-  EXPECT_EQ(ParallelDecode(codec, 256, jobs, 3), 3u);
-}
-
-TEST(ParallelDecode, ReportsFailedJobIndices) {
-  const IsalCodec codec(4, 2);
-  Corpus corpus(4, 2, 256, 6, 11);
-  ParallelEncode(codec, 256, corpus.buffers, 2);
-
-  // Jobs 1 and 4 erase three blocks of an RS(4,2) stripe — beyond any
-  // repair — the rest erase one and must succeed.
-  const std::vector<std::size_t> fatal{0, 1, 2};
-  const std::vector<std::size_t> fixable{5};
-  std::vector<std::vector<std::byte*>> all(corpus.stripes);
-  std::vector<DecodeJob> jobs;
-  for (std::size_t s = 0; s < corpus.stripes; ++s) {
-    for (std::size_t b = 0; b < 6; ++b) {
-      all[s].push_back(corpus.storage[s * 6 + b].data());
-    }
-    const auto& erasures = (s == 1 || s == 4) ? fatal : fixable;
-    for (const std::size_t e : erasures) {
-      std::fill(corpus.storage[s * 6 + e].begin(),
-                corpus.storage[s * 6 + e].end(), std::byte{0});
-    }
-    jobs.push_back({all[s], erasures});
-  }
-  std::vector<std::size_t> failed;
-  EXPECT_EQ(ParallelDecode(codec, 256, jobs, 4, &failed), 2u);
-  EXPECT_EQ(failed, (std::vector<std::size_t>{1, 4}));
-
-  // The serial path reports the same thing.
-  failed.clear();
-  EXPECT_EQ(ParallelDecode(codec, 256, jobs, 1, &failed), 2u);
-  EXPECT_EQ(failed, (std::vector<std::size_t>{1, 4}));
+  ThreadPool pool(3);
+  EXPECT_EQ(ParallelDecode(pool, codec, 256, jobs), 3u);
 }
 
 /// Codec whose encode/decode throw for one marked stripe — the
@@ -209,7 +179,8 @@ TEST(ParallelDecode, WorkerExceptionReachesCaller) {
     jobs.push_back({all[s], erasures});
   }
   const ThrowingCodec codec(inner, all[3][0]);
-  EXPECT_THROW(ParallelDecode(codec, 256, jobs, 4), std::runtime_error);
+  ThreadPool pool(4);
+  EXPECT_THROW(ParallelDecode(pool, codec, 256, jobs), std::runtime_error);
 }
 
 TEST(ParallelEncode, ExplicitPoolIsReusedAcrossCalls) {
@@ -243,7 +214,8 @@ TEST(ParallelRoundTrip, RandomStripesMatchSerialPath) {
     ParallelEncode(pool, codec, bs, pooled.buffers);
     ASSERT_EQ(serial.storage, pooled.storage) << "round " << round;
 
-    // Erase one random data block per stripe and decode both ways.
+    // Erase one random data block per stripe; decode serially and on
+    // the pool.
     Corpus damaged_serial = serial;
     Corpus damaged_pooled = pooled;
     const std::vector<std::size_t> erasures{rng() % k};
@@ -263,7 +235,9 @@ TEST(ParallelRoundTrip, RandomStripesMatchSerialPath) {
     std::vector<std::vector<std::byte*>> all_s(stripes), all_p(stripes);
     const auto jobs_s = make_jobs(damaged_serial, all_s);
     const auto jobs_p = make_jobs(damaged_pooled, all_p);
-    EXPECT_EQ(ParallelDecode(codec, bs, jobs_s, 1), 0u);
+    for (const DecodeJob& job : jobs_s) {
+      ASSERT_TRUE(codec.decode(bs, job.blocks, job.erasures));
+    }
     EXPECT_EQ(ParallelDecode(pool, codec, bs, jobs_p), 0u);
     EXPECT_EQ(damaged_serial.storage, serial.storage);
     EXPECT_EQ(damaged_pooled.storage, serial.storage);
