@@ -623,7 +623,6 @@ MixResult RunMix(bool with_bulk, svc::BandwidthGovernor* governor,
           }
           svc::EncodeRequest req =
               bufs.request(submitted % bulk_slots, &codec);
-          req.qos_class = svc::TrafficClass::kBulkEncode;
           window.push_back(service.submit(std::move(req)));
           ++submitted;
         }

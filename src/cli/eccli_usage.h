@@ -53,8 +53,7 @@ inline constexpr char kUsageText[] =
     "serially\n"
     "  --threads N       worker threads for the stripe service "
     "(default: hardware)\n"
-    "  --qos             enable the pressure-aware bandwidth governor "
-    "on the\n"
+    "  --qos             enable the bandwidth governor on the\n"
     "                    stripe service: degraded reads are shielded "
     "from bulk\n"
     "                    encode traffic by byte-denominated watermarks "

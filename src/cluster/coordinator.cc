@@ -379,20 +379,11 @@ HeartbeatReport Coordinator::heartbeat() {
   return report;
 }
 
-void Coordinator::ApplyPressure() {
-  if (cfg_.governor == nullptr) return;
-  cfg_.governor->poll();
-  const double scale = cfg_.governor->rate_scale();
-  scrub_bucket_.set_rate_scale(scale);
-  rebuild_bucket_.set_rate_scale(scale);
-}
-
 bool Coordinator::RepairChunk(std::uint64_t stripe, std::uint32_t shard,
                               const std::vector<NodeId>& table, NodeId dest,
                               RepairKind kind) {
   const Geometry& geom = cfg_.geom;
   const bool scrub = kind == RepairKind::kScrub;
-  ApplyPressure();
   const std::uint64_t waits =
       (scrub ? scrub_bucket_ : rebuild_bucket_).throttle(geom.block_size);
   if (waits > 0) ThrottleWaits(scrub).inc(waits);
@@ -452,7 +443,6 @@ ScrubReport Coordinator::scrub_pass() {
         converged = false;
         continue;
       }
-      ApplyPressure();
       const std::uint64_t waits = scrub_bucket_.throttle(geom.block_size);
       if (waits > 0) ThrottleWaits(true).inc(waits);
       ++report.chunks_checked;
@@ -489,7 +479,6 @@ RebalanceReport Coordinator::Rebalance(
     for (std::uint32_t j = 0; j < geom.total_shards(); ++j) {
       if (j >= new_table.size() || j >= old_table.size()) break;
       if (new_table[j] == old_table[j]) continue;  // minimal movement
-      ApplyPressure();
       const std::uint64_t waits = rebuild_bucket_.throttle(geom.block_size);
       if (waits > 0) ThrottleWaits(false).inc(waits);
 

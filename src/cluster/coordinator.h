@@ -30,7 +30,6 @@
 #include "cluster/transport.h"
 #include "cluster/wire.h"
 #include "ec/codec.h"
-#include "svc/governor.h"
 #include "svc/retry.h"
 
 namespace cluster {
@@ -59,12 +58,6 @@ struct CoordinatorConfig {
   /// write-backs stop (reads still serve degraded; scrub_pass
   /// rehabilitates and lifts the quarantine).
   std::size_t heal_retry_cap = 3;
-  /// Optional pressure-aware bandwidth governor (non-owning; must
-  /// outlive the coordinator). When set, every scrub/rebuild/rebalance
-  /// throttle first applies the governor's rate scale to the byte-
-  /// denominated token buckets, so repair bandwidth clamps down while
-  /// DIALGA's pressure signals (or per-node reports) show contention.
-  svc::BandwidthGovernor* governor = nullptr;
 };
 
 struct OpResult {
@@ -168,10 +161,6 @@ class Coordinator {
   void set_read_repair(bool on) { cfg_.read_repair = on; }
 
  private:
-  /// Re-poll the governor and push its rate scale onto both repair
-  /// buckets; called at every throttle site so the clamp takes effect
-  /// mid-pass, not just between passes.
-  void ApplyPressure();
   enum class RepairKind { kScrub, kRebuild };
 
   int Call(NodeId to, const Frame& req, Frame* resp);

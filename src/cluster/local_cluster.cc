@@ -44,7 +44,6 @@ LocalCluster::LocalCluster(LocalClusterConfig cfg)
   cc.rate_burst_bytes = cfg_.rate_burst_bytes;
   cc.store_retry = cfg_.store_retry;
   cc.time = cfg_.time;
-  cc.governor = cfg_.governor;
   coordinator_ = std::make_unique<Coordinator>(cc, &placement_, &transport_);
 }
 

@@ -38,9 +38,6 @@ struct LocalClusterConfig {
   svc::RetryPolicy store_retry{.max_retries = 2};
   VirtualTime time = VirtualTime::Real();
   std::size_t service_threads = 2;
-  /// Optional shared bandwidth governor for the coordinator's repair
-  /// buckets (non-owning; must outlive the cluster).
-  svc::BandwidthGovernor* governor = nullptr;
 };
 
 class LocalCluster {

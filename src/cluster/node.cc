@@ -307,12 +307,6 @@ WireStatus Node::Reconstruct(const Frame& ctx, std::uint32_t target,
   req.blocks = blocks;
   req.erasures = erasures;
   req.codec = &codec;
-  // Repair RPCs run the same decode machinery as client degraded
-  // reads but are background traffic: tag them so a governed service
-  // shapes them instead of treating them as latency-sensitive.
-  req.qos_class = ctx.type == MsgType::kRepair
-                      ? svc::TrafficClass::kRebuild
-                      : svc::TrafficClass::kDegradedRead;
   auto fut = service_->submit(std::move(req));
   const svc::Result r = fut.get();
   if (!r.ok()) {

@@ -76,7 +76,7 @@ class TokenBucket {
       }
       const double deficit = need - tokens_;
       const auto wait_ns =
-          static_cast<std::uint64_t>(deficit / effective_rate() * 1e9) + 1;
+          static_cast<std::uint64_t>(deficit / rate_ * 1e9) + 1;
       ++waits;
       waits_.fetch_add(1, std::memory_order_relaxed);
       lk.unlock();
@@ -95,27 +95,12 @@ class TokenBucket {
   double rate() const { return rate_; }
   double burst() const { return burst_; }
 
-  /// Pressure modulation: the configured rate is multiplied by
-  /// `scale` (clamped to (0, 1]) until the next call — the bandwidth
-  /// governor clamps repair traffic this way while DIALGA's pressure
-  /// signals report contention. The configured rate stays the ceiling;
-  /// scale only ever slows the bucket down.
-  void set_rate_scale(double scale) {
-    scale_.store(std::clamp(scale, 1e-6, 1.0), std::memory_order_relaxed);
-  }
-  double rate_scale() const {
-    return scale_.load(std::memory_order_relaxed);
-  }
-  /// Rate currently in force (configured rate x pressure scale).
-  double effective_rate() const { return rate_ * rate_scale(); }
-
  private:
   void refill_locked() {
     const std::uint64_t now = time_.now_ns();
     if (now > last_ns_) {
-      tokens_ = std::min(burst_, tokens_ + effective_rate() *
-                                     static_cast<double>(now - last_ns_) /
-                                     1e9);
+      tokens_ = std::min(
+          burst_, tokens_ + rate_ * static_cast<double>(now - last_ns_) / 1e9);
       last_ns_ = now;
     }
   }
@@ -126,7 +111,6 @@ class TokenBucket {
   std::mutex mu_;
   double tokens_;          // guarded by mu_
   std::uint64_t last_ns_;  // guarded by mu_
-  std::atomic<double> scale_{1.0};
   std::atomic<std::uint64_t> granted_{0};
   std::atomic<std::uint64_t> waits_{0};
 };

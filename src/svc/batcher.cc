@@ -14,16 +14,14 @@ std::vector<Batch> FormBatches(std::span<const Pending> reqs,
     Batch* open = nullptr;
     for (auto it = batches.rbegin(); it != batches.rend(); ++it) {
       if (it->op == r.op && it->shape == r.shape() &&
-          it->codec == r.codec_override() &&
-          it->qos_class == r.qos_class()) {
+          it->codec == r.codec_override()) {
         open = &*it;
         break;  // only the most recent batch of a group may still fill
       }
     }
     if (open == nullptr ||
         (max_batch != 0 && open->indices.size() >= max_batch)) {
-      batches.push_back(
-          Batch{r.op, r.shape(), r.codec_override(), r.qos_class(), {}});
+      batches.push_back(Batch{r.op, r.shape(), r.codec_override(), {}});
       open = &batches.back();
     }
     open->indices.push_back(i);

@@ -48,12 +48,9 @@ struct Pending {
     return deadline != std::chrono::steady_clock::time_point{} &&
            now >= deadline;
   }
-  TrafficClass qos_class() const {
-    return op == OpClass::kEncode ? enc.qos_class : dec.qos_class;
-  }
-  /// Stripe footprint the governor accounts in: every class touches
-  /// the full k+m blocks (encode reads k and writes m; decode scans
-  /// the survivor set), so one uniform measure keeps byte accounting
+  /// Stripe footprint the governor accounts in: both ops touch the
+  /// full k+m blocks (encode reads k and writes m; decode scans the
+  /// survivor set), so one uniform measure keeps byte accounting
   /// comparable across classes.
   std::uint64_t qos_bytes() const {
     const StripeShape& s = shape();
@@ -67,7 +64,6 @@ struct Batch {
   OpClass op = OpClass::kEncode;
   StripeShape shape;
   const ec::Codec* codec = nullptr;  ///< override; null = factory codec
-  TrafficClass qos_class = TrafficClass::kBulkEncode;
   std::vector<std::size_t> indices;  ///< submission order preserved
 };
 
@@ -80,11 +76,11 @@ inline std::uint64_t BatchBytes(const Batch& b) {
 }
 
 /// Group `reqs` into batches. Requests keep their relative submission
-/// order inside a batch; a (op, shape, codec, class) group larger than
+/// order inside a batch; a (op, shape, codec) group larger than
 /// max_batch splits into consecutive batches so one giant burst cannot
-/// monopolize the pool. max_batch == 0 means unbounded. The traffic
-/// class joins the key so the governor can defer a bulk batch without
-/// holding latency-class requests hostage inside it.
+/// monopolize the pool. max_batch == 0 means unbounded. The op is the
+/// governor's traffic class, so the governor can defer a bulk batch
+/// without holding degraded reads hostage inside it.
 std::vector<Batch> FormBatches(std::span<const Pending> reqs,
                                std::size_t max_batch);
 

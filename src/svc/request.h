@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "ec/codec.h"
-#include "svc/traffic_class.h"
 
 namespace svc {
 
@@ -23,7 +22,10 @@ struct StripeShape {
   friend bool operator==(const StripeShape&, const StripeShape&) = default;
 };
 
+/// The op is also the bandwidth governor's traffic class: encodes are
+/// throttled bulk, decodes are latency-sensitive degraded reads.
 enum class OpClass { kEncode, kDecode };
+inline constexpr std::size_t kOpClassCount = 2;
 
 /// Compute shape.m parity blocks from shape.k data blocks.
 struct EncodeRequest {
@@ -38,10 +40,6 @@ struct EncodeRequest {
   /// request still queued when its deadline passes completes with
   /// kDeadlineExceeded (admission rejects one already expired).
   std::chrono::nanoseconds timeout{0};
-  /// Bandwidth-governor traffic class. Encodes default to bulk; the
-  /// cluster tier tags scrub/rebuild encodes explicitly. Ignored when
-  /// the service runs without a governor.
-  TrafficClass qos_class = TrafficClass::kBulkEncode;
 };
 
 /// Reconstruct the erased blocks of one stripe in place.
@@ -51,9 +49,6 @@ struct DecodeRequest {
   std::vector<std::size_t> erasures;
   const ec::Codec* codec = nullptr;
   std::chrono::nanoseconds timeout{0};  ///< see EncodeRequest::timeout
-  /// Decodes default to the latency-sensitive degraded-read class;
-  /// scrub verification reads re-tag themselves kScrub.
-  TrafficClass qos_class = TrafficClass::kDegradedRead;
 };
 
 }  // namespace svc

@@ -16,7 +16,7 @@ enum class StatusCode {
   kCodecError,          ///< codec body threw; whole batch untrusted
   kInvalidArgument,     ///< malformed request (pointer counts, erasures)
   kDeadlineExceeded,    ///< request deadline passed before completion
-  kRejectedBandwidth,   ///< governor byte backstop for a bulk class
+  kRejectedBandwidth,   ///< governor byte backstop for bulk encodes
 };
 
 inline const char* to_string(StatusCode c) {

@@ -234,11 +234,11 @@ std::future<Result> StripeService::admit(Pending&& p) {
       SvcMetrics::Get().rejected_class_limit.inc();
       return Immediate(std::move(p), StatusCode::kRejectedClassLimit);
     }
-    // Byte-denominated backstop: the governor rejects a throttled
-    // class whose queued + in-flight bytes would exceed its cap — the
-    // count limits above stay on as the coarse backstop.
+    // Byte-denominated backstop: the governor rejects bulk whose
+    // queued + in-flight bytes would exceed its cap — the count limits
+    // above stay on as the coarse backstop.
     if (cfg_.governor != nullptr &&
-        !cfg_.governor->try_admit(p.qos_class(), p.qos_bytes())) {
+        !cfg_.governor->try_admit(op, p.qos_bytes())) {
       ++counters_.rejected_bandwidth;
       SvcMetrics::Get().rejected_bandwidth.inc();
       return Immediate(std::move(p), StatusCode::kRejectedBandwidth);
@@ -267,7 +267,7 @@ std::future<Result> StripeService::admit(Pending&& p) {
     // and report which. (The pattern-ring entry is left in place: one
     // phantom shape in the window is noise.)
     if (cfg_.governor != nullptr) {
-      cfg_.governor->on_drop(p.qos_class(), p.qos_bytes());
+      cfg_.governor->on_drop(op, p.qos_bytes());
     }
     std::lock_guard<std::mutex> lk(mu_);
     --counters_.admitted;
@@ -372,7 +372,7 @@ void StripeService::TryDispatchBatch(
     const std::shared_ptr<std::vector<Pending>>& reqs, Batch&& batch,
     std::chrono::steady_clock::time_point now) {
   if (cfg_.governor != nullptr &&
-      !cfg_.governor->try_dispatch(batch.qos_class, BatchBytes(batch))) {
+      !cfg_.governor->try_dispatch(batch.op, BatchBytes(batch))) {
     deferred_.push_back(Deferred{reqs, std::move(batch), now});
     return;
   }
@@ -396,11 +396,10 @@ void StripeService::ReleaseDeferred(bool flush) {
     deferred_.clear();
     return;
   }
+  // Only a governor parks batches, so one is attached here.
   const auto now = std::chrono::steady_clock::now();
   const auto max_defer =
-      cfg_.governor != nullptr
-          ? std::chrono::nanoseconds(cfg_.governor->max_defer_ns())
-          : std::chrono::nanoseconds(0);
+      std::chrono::nanoseconds(cfg_.governor->max_defer_ns());
   std::vector<Deferred> still;
   for (Deferred& d : deferred_) {
     // Expiry sweep inside the parked batch: members whose deadline
@@ -421,26 +420,17 @@ void StripeService::ReleaseDeferred(bool flush) {
     const std::uint64_t bytes = BatchBytes(d.batch);
     const bool aged = flush || (max_defer.count() > 0 &&
                                 now - d.since >= max_defer);
-    bool dispatch = true;
-    if (cfg_.governor == nullptr) {
-      // Governor detached mid-flight never happens (config is const);
-      // defensive: just dispatch.
-    } else if (cfg_.governor->try_dispatch(d.batch.qos_class, bytes)) {
-      // granted — accounting done inside try_dispatch
-    } else if (aged) {
-      cfg_.governor->force_dispatch(d.batch.qos_class, bytes);
-    } else {
-      dispatch = false;
-    }
-    if (dispatch) {
-      if (cfg_.governor != nullptr) {
-        cfg_.governor->observe_defer(
-            std::chrono::duration<double>(now - d.since).count());
+    // A grant does its own accounting inside try_dispatch.
+    if (!cfg_.governor->try_dispatch(d.batch.op, bytes)) {
+      if (!aged) {
+        still.push_back(std::move(d));
+        continue;
       }
-      DispatchBatch(d.reqs, std::move(d.batch));
-    } else {
-      still.push_back(std::move(d));
+      cfg_.governor->force_dispatch(d.batch.op, bytes);
     }
+    cfg_.governor->observe_defer(
+        std::chrono::duration<double>(now - d.since).count());
+    DispatchBatch(d.reqs, std::move(d.batch));
   }
   deferred_ = std::move(still);
 }
@@ -491,11 +481,11 @@ void StripeService::DispatchBatch(std::shared_ptr<std::vector<Pending>> reqs,
       }
     }
   }
-  // Latency-class batches take the side pool when one is configured:
-  // their stripes never sit in a worker deque behind bulk/scrub/
-  // rebuild work the governor already admitted.
+  // Decode batches take the side pool when one is configured: their
+  // stripes never sit in a worker deque behind bulk encodes the
+  // governor already admitted.
   ec::ThreadPool& target =
-      (latency_pool_ != nullptr && !IsThrottledClass(shared_batch->qos_class))
+      (latency_pool_ != nullptr && shared_batch->op == OpClass::kDecode)
           ? *latency_pool_
           : *pool_;
   target.run_async(
@@ -589,9 +579,9 @@ void StripeService::RecordCompletion(Pending& p, StatusCode status) {
     // Dispatched requests release in-flight bytes; ones that died
     // queued (cancel, expiry) release their queued bytes instead.
     if (p.dispatched) {
-      cfg_.governor->on_complete(p.qos_class(), p.qos_bytes());
+      cfg_.governor->on_complete(p.op, p.qos_bytes());
     } else {
-      cfg_.governor->on_drop(p.qos_class(), p.qos_bytes());
+      cfg_.governor->on_drop(p.op, p.qos_bytes());
     }
   }
   if (status == StatusCode::kOk || status == StatusCode::kDecodeFailed) {
@@ -602,7 +592,7 @@ void StripeService::RecordCompletion(Pending& p, StatusCode status) {
     latency_next_ = (latency_next_ + 1) % latency_ring_.size();
     m.latency.observe(seconds);
     if (cfg_.governor != nullptr) {
-      cfg_.governor->observe_latency(p.qos_class(), seconds);
+      cfg_.governor->observe_latency(p.op, seconds);
     }
   }
   obs::Tracer::Global().finish(p.trace_id, to_string(status));

@@ -61,13 +61,12 @@ class StripeService {
     /// Worker threads of the owned pool (ignored when an external pool
     /// is supplied); 0 = ec::ThreadPool::DefaultWorkerCount().
     std::size_t pool_threads = 0;
-    /// Worker threads of a dedicated side pool for the latency-
-    /// sensitive classes (interactive/degraded reads); 0 = none, every
-    /// batch shares the main pool. With a side pool, a degraded read
-    /// never queues behind bulk/scrub/rebuild stripes already handed
-    /// to the workers — the dispatch-side half of the QoS story (the
-    /// governor paces what the throttled classes may occupy; the side
-    /// pool keeps the latency classes' queueing independent of it).
+    /// Worker threads of a dedicated side pool for decodes (degraded
+    /// reads); 0 = none, every batch shares the main pool. With a side
+    /// pool, a degraded read never queues behind bulk stripes already
+    /// handed to the workers — the dispatch-side half of the QoS story
+    /// (the governor paces what bulk may occupy; the side pool keeps
+    /// the degraded reads' queueing independent of it).
     std::size_t latency_pool_threads = 0;
     /// Builds the codec for a shape with no per-request override. The
     /// default materializes dialga::DialgaCodec(k, m); built codecs are
@@ -75,11 +74,11 @@ class StripeService {
     std::function<std::unique_ptr<const ec::Codec>(std::size_t k,
                                                    std::size_t m)>
         codec_factory;
-    /// Optional pressure-aware bandwidth governor (non-owning; must
-    /// outlive the service). When set, admission adds a per-class byte
-    /// backstop (kRejectedBandwidth) and the dispatcher defers
-    /// throttled-class batches by the governor's watermark/headroom
-    /// policy. Null keeps the count-cap-only behavior bit-identical.
+    /// Optional bandwidth governor (non-owning; must outlive the
+    /// service). When set, admission adds a byte backstop for bulk
+    /// encodes (kRejectedBandwidth) and the dispatcher defers bulk
+    /// batches by the governor's watermark/headroom policy. Null keeps
+    /// the count-cap-only behavior bit-identical.
     BandwidthGovernor* governor = nullptr;
   };
 
@@ -141,10 +140,9 @@ class StripeService {
 
   ec::ThreadPool& pool() { return *pool_; }
   std::size_t max_batch() const { return max_batch_; }
-  BandwidthGovernor* governor() const { return cfg_.governor; }
 
  private:
-  /// A throttled-class batch the governor held back, parked on the
+  /// A bulk batch the governor held back, parked on the
   /// dispatcher thread until headroom returns, the backlog watermark
   /// forces a drain, or the batch ages past the governor's bound.
   struct Deferred {
@@ -176,7 +174,7 @@ class StripeService {
   Config cfg_;
   std::unique_ptr<ec::ThreadPool> owned_pool_;
   ec::ThreadPool* pool_ = nullptr;
-  /// Side pool for latency classes (Config::latency_pool_threads).
+  /// Side pool for decodes (Config::latency_pool_threads).
   std::unique_ptr<ec::ThreadPool> latency_pool_;
   std::size_t max_batch_ = 0;
   ec::ThreadPoolStats pool_baseline_;

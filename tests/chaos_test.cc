@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "chaos_seeds.h"
 #include "dialga/dialga.h"
 #include "ec/isal.h"
 #include "fault/injector.h"
@@ -35,13 +35,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
-
-std::vector<std::uint64_t> ChaosSeeds() {
-  if (const char* env = std::getenv("CHAOS_SEED")) {
-    return {std::strtoull(env, nullptr, 10)};
-  }
-  return {1, 2, 3, 4, 5, 6, 7, 8};
-}
 
 /// Installs a schedule for one seed and guarantees the global injector
 /// is clean afterwards, whatever the test body does.
@@ -75,7 +68,7 @@ TEST_F(ChaosTest, ServiceFuturesAllResolveAndOkStripesAreBitCorrect) {
   const std::size_t k = 4, m = 2, bs = 512, stripes = 48;
   const ec::IsalCodec codec(k, m);
 
-  for (const std::uint64_t seed : ChaosSeeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ChaosSchedule sched(seed);
     sched.site("svc.admission", 0.10);
@@ -209,7 +202,7 @@ class ChaosShardTest : public ChaosTest {
 TEST_F(ChaosShardTest, FileRoundtripIsBitCorrectOrExplicitlyFlagged) {
   const dialga::DialgaCodec codec(4, 2);
 
-  for (const std::uint64_t seed : ChaosSeeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const fs::path input = dir_ / ("in_" + std::to_string(seed));
     const fs::path shards = dir_ / ("sh_" + std::to_string(seed));
@@ -276,7 +269,7 @@ TEST_F(ChaosShardTest, CrashConsistentEncodeNeverTearsTheManifest) {
   // error; a torn manifest or a blended output is a failure.
   const dialga::DialgaCodec codec(4, 2);
 
-  for (const std::uint64_t seed : ChaosSeeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const fs::path in1 = dir_ / ("cc1_" + std::to_string(seed));
     const fs::path in2 = dir_ / ("cc2_" + std::to_string(seed));

@@ -16,7 +16,6 @@
 // this binary under ASan+UBSan).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <random>
@@ -24,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_seeds.h"
 #include "cluster/local_cluster.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
@@ -38,13 +38,6 @@ using cluster::VirtualTime;
 
 constexpr Geometry kLrc{.k = 4, .global = 2, .local = 2, .block_size = 512};
 constexpr Geometry kRs{.k = 4, .global = 2, .local = 0, .block_size = 512};
-
-std::vector<std::uint64_t> ChaosSeeds() {
-  if (const char* env = std::getenv("CHAOS_SEED")) {
-    return {std::strtoull(env, nullptr, 10)};
-  }
-  return {1, 2, 3, 4, 5, 6, 7, 8};
-}
 
 std::vector<std::vector<std::byte>> MakeStripe(const Geometry& g,
                                                std::uint64_t seed) {
@@ -101,7 +94,7 @@ class ClusterChaosTest : public ::testing::Test {
 // acknowledged stripe survives bit-identical.
 
 TEST_F(ClusterChaosTest, AckedStripesSurviveRandomKillsAndRevivals) {
-  for (const std::uint64_t seed : ChaosSeeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937_64 rng(seed);
     LocalCluster c(Cfg(8, 0, kRs));
@@ -139,7 +132,7 @@ TEST_F(ClusterChaosTest, AckedStripesSurviveRandomKillsAndRevivals) {
 // writes. A write acked through a flaky transport is still durable.
 
 TEST_F(ClusterChaosTest, AckedStripesSurviveFlakyRpcLinks) {
-  for (const std::uint64_t seed : ChaosSeeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     fault::Injector::Global().clear();
     fault::Injector::Global().set_seed(seed);
@@ -181,7 +174,7 @@ TEST_F(ClusterChaosTest, AckedStripesSurviveFlakyRpcLinks) {
 // durable after heal.
 
 TEST_F(ClusterChaosTest, PartitionsNeverLoseAckedData) {
-  for (const std::uint64_t seed : ChaosSeeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937_64 rng(seed);
     LocalCluster c(Cfg(8, 0, kRs));
@@ -228,7 +221,7 @@ TEST_F(ClusterChaosTest, PartitionsNeverLoseAckedData) {
 // scope=local counter moves and scope=global does not.
 
 TEST_F(ClusterChaosTest, SingleFailureDegradedReadsStayLocal) {
-  for (const std::uint64_t seed : ChaosSeeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937_64 rng(seed);
     LocalCluster c(Cfg(9, 3, kLrc));
@@ -276,7 +269,7 @@ TEST_F(ClusterChaosTest, SingleFailureDegradedReadsStayLocal) {
 // rate * elapsed + burst, measured exactly in virtual time.
 
 TEST_F(ClusterChaosTest, RepairNeverExceedsConfiguredRate) {
-  for (const std::uint64_t seed : ChaosSeeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937_64 rng(seed);
     std::uint64_t vnow = 0;
@@ -359,7 +352,7 @@ TEST_F(ClusterChaosTest, RepairNeverExceedsConfiguredRate) {
 // full verification. The invariant stack all at once.
 
 TEST_F(ClusterChaosTest, FullScheduleEndsWithZeroDataLoss) {
-  for (const std::uint64_t seed : ChaosSeeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937_64 rng(seed ^ 0xD1A16Aull);
     fault::Injector::Global().clear();

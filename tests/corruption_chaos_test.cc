@@ -7,7 +7,6 @@
 //      verified-clean (or name the loss explicitly).
 // CHAOS_SEED narrows the matrix to one seed when reproducing a failure;
 // the effective plan for any run is printable via Injector::describe().
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos_seeds.h"
 #include "cluster/local_cluster.h"
 #include "dialga/dialga.h"
 #include "fault/injector.h"
@@ -24,13 +24,6 @@
 namespace {
 
 namespace fs = std::filesystem;
-
-std::vector<std::uint64_t> Seeds() {
-  if (const char* s = std::getenv("CHAOS_SEED")) {
-    return {std::strtoull(s, nullptr, 10)};
-  }
-  return {1, 2, 3, 4, 5, 6, 7, 8};
-}
 
 struct InjectorReset {
   InjectorReset() { fault::Injector::Global().clear(); }
@@ -310,7 +303,7 @@ TEST_F(CorruptShardDecode, BitIdenticalAcrossAioBackends) {
 
 TEST(CorruptionChaosMatrix, ShardReadSiteNeverReturnsCorruptAsClean) {
   InjectorReset reset;
-  for (const std::uint64_t seed : Seeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     for (const char* kind : {"bitflip", "torn", "zero"}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) + " kind=" + kind);
       const fs::path dir =
@@ -353,7 +346,7 @@ TEST(CorruptionChaosMatrix, ShardReadSiteNeverReturnsCorruptAsClean) {
 
 TEST(CorruptionChaosMatrix, ClusterRecvSiteNeverDeliversCorruptFrames) {
   InjectorReset reset;
-  for (const std::uint64_t seed : Seeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     fault::Injector::Global().clear();
     cluster::LocalClusterConfig cfg;
@@ -449,7 +442,7 @@ TEST(CorruptionChaosMatrix, ClusterReadRepairConvergesCorruptChunks) {
 
 TEST(CorruptionChaosMatrix, AioCqeSiteIsCaughtByShardVerify) {
   InjectorReset reset;
-  for (const std::uint64_t seed : Seeds()) {
+  for (const std::uint64_t seed : chaos::Seeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const fs::path dir = fs::temp_directory_path() /
                          ("dialga_chaos_aio_" + std::to_string(seed));

@@ -1,8 +1,9 @@
 // fault::Injector semantics: deterministic replay of seeded schedules,
 // the three trigger kinds (nth list, every-Nth, probability) and their
 // OR-combination, max_fires capping, scoped plan lifetime against the
-// global instance, thread-safe counters under concurrent fire(), and
-// the spec-string parser including its rejection diagnostics.
+// global instance, thread-safe counters under concurrent fire(), the
+// spec-string parser including its rejection diagnostics, and the
+// strict CHAOS_SEED parse the seeded suites share.
 //
 // Every test runs against Injector::Global() (that is what the built-in
 // sites consult) and clears it on entry/exit so tests cannot leak plans
@@ -12,10 +13,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chaos_seeds.h"
 #include "fault/injector.h"
 
 namespace fault {
@@ -326,6 +330,18 @@ TEST_F(FaultTest, NodeScopedSpecParses) {
   EXPECT_TRUE(FiresAt(3, "shard.read"));
   EXPECT_FALSE(FiresAt(1, "shard.read"));
   EXPECT_FALSE(Fires("shard.read"));
+}
+
+// A CHAOS_SEED that is not a whole unsigned 64-bit decimal is rejected:
+// a lenient parse would quietly run another seed ("abc" as 0, "-1" as
+// 2^64 - 1).
+TEST(ChaosSeed, ParseAcceptsOnlyAWholeUnsignedDecimal) {
+  EXPECT_EQ(chaos::ParseSeed("3"), std::optional<std::uint64_t>(3));
+  EXPECT_EQ(chaos::ParseSeed("18446744073709551615"),
+            std::optional<std::uint64_t>(UINT64_MAX));
+  for (const char* bad : {"", "abc", "3x", "-1", "123456789012345678901"}) {
+    EXPECT_EQ(chaos::ParseSeed(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 }  // namespace
