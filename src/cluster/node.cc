@@ -61,8 +61,8 @@ Node::Node(NodeConfig cfg, LoopbackTransport* transport)
   if (!cfg_.data_dir.empty()) LoadDir();
   if (transport_ != nullptr) {
     transport_->register_handler(
-        cfg_.id, [this](const Frame& req, Frame* resp) {
-          return handle(req, resp);
+        cfg_.id, [this](Frame&& req, Frame* resp) {
+          return handle(std::move(req), resp);
         });
   }
 }
@@ -321,13 +321,13 @@ WireStatus Node::Reconstruct(const Frame& ctx, std::uint32_t target,
   return WireStatus::kOk;
 }
 
-Frame Node::HandleStore(const Frame& req) {
+Frame Node::HandleStore(Frame&& req) {
   if (req.blocks.size() != 1 ||
       req.blocks[0].bytes.size() != req.geom.block_size) {
     return MakeResp(req, MsgType::kStoreResp, WireStatus::kBadRequest);
   }
-  const bool ok =
-      PutChunk(req.stripe, req.blocks[0].index, req.blocks[0].bytes);
+  const bool ok = PutChunk(req.stripe, req.blocks[0].index,
+                           std::move(req.blocks[0].bytes));
   return MakeResp(req, MsgType::kStoreResp,
                   ok ? WireStatus::kOk : WireStatus::kStoreFailed);
 }
@@ -342,19 +342,22 @@ Frame Node::HandleRead(const Frame& req) {
   return resp;
 }
 
-Frame Node::HandleEncode(const Frame& req) {
+Frame Node::HandleEncode(Frame&& req) {
   const Geometry& geom = req.geom;
   if (!ValidGeomFrame(req) ||
       req.placement.size() != geom.total_shards() ||
       req.blocks.size() != geom.k) {
     return MakeResp(req, MsgType::kEncodeResp, WireStatus::kBadRequest);
   }
+  // Shard j's payload for j < k: the request blob carrying index j.
+  std::vector<std::vector<std::byte>*> data_bufs(geom.k, nullptr);
   std::vector<const std::byte*> data(geom.k, nullptr);
-  for (const Blob& b : req.blocks) {
+  for (Blob& b : req.blocks) {
     if (b.index >= geom.k || b.bytes.size() != geom.block_size ||
         data[b.index] != nullptr) {
       return MakeResp(req, MsgType::kEncodeResp, WireStatus::kBadRequest);
     }
+    data_bufs[b.index] = &b.bytes;
     data[b.index] = b.bytes.data();
   }
   for (const std::byte* p : data) {
@@ -374,13 +377,15 @@ Frame Node::HandleEncode(const Frame& req) {
     return MakeResp(req, MsgType::kEncodeResp, WireStatus::kBadRequest);
   }
 
-  // Fan the k + m chunks out to their homes (self included). Failures
+  // Fan the k + m chunks out to their homes (self included). Each
+  // payload is moved into its store frame; this node's own chunk is
+  // copied, so a failed local persist can still report it. Failures
   // are reported — with their payloads — so the coordinator can retry
   // the stores directly instead of re-encoding.
   Frame resp = MakeResp(req, MsgType::kEncodeResp, WireStatus::kOk);
   for (std::uint32_t j = 0; j < geom.total_shards(); ++j) {
-    const std::byte* bytes = j < geom.k ? data[j] : parity[j - geom.k];
-    std::vector<std::byte> payload(bytes, bytes + geom.block_size);
+    std::vector<std::byte>& payload =
+        j < geom.k ? *data_bufs[j] : parity_bufs[j - geom.k];
     bool ok;
     if (req.placement[j] == cfg_.id) {
       ok = PutChunk(req.stripe, j, payload);
@@ -389,11 +394,14 @@ Frame Node::HandleEncode(const Frame& req) {
       store.type = MsgType::kStore;
       store.stripe = req.stripe;
       store.geom = geom;
-      store.blocks.push_back({j, payload});
+      store.blocks.push_back({j, std::move(payload)});
       Frame store_resp;
       ok = transport_->call(cfg_.id, req.placement[j], store,
                             &store_resp) == 0 &&
            store_resp.status == WireStatus::kOk;
+      // call() only reads the frame: the failure report takes the
+      // bytes back from it.
+      if (!ok) payload = std::move(store.blocks[0].bytes);
     } else {
       ok = false;
     }
@@ -479,16 +487,16 @@ Frame Node::HandleHeartbeat(const Frame& req) {
   return resp;
 }
 
-int Node::handle(const Frame& req, Frame* resp) {
+int Node::handle(Frame&& req, Frame* resp) {
   switch (req.type) {
     case MsgType::kStore:
-      *resp = HandleStore(req);
+      *resp = HandleStore(std::move(req));
       return 0;
     case MsgType::kRead:
       *resp = HandleRead(req);
       return 0;
     case MsgType::kEncode:
-      *resp = HandleEncode(req);
+      *resp = HandleEncode(std::move(req));
       return 0;
     case MsgType::kDegradedRead:
       *resp = HandleDegradedRead(req);

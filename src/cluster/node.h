@@ -55,8 +55,8 @@ class Node {
 
   /// The RPC entry point (also what the transport invokes): returns 0
   /// and fills `*resp` — RPC-level failures are WireStatus values in
-  /// the response, not errnos.
-  int handle(const Frame& req, Frame* resp);
+  /// the response, not errnos. Chunk payloads are moved out of `req`.
+  int handle(Frame&& req, Frame* resp);
 
   // --- direct inspection / manipulation for tests and the CLI ---
   std::size_t chunk_count() const;
@@ -77,9 +77,9 @@ class Node {
   };
   using Key = std::pair<std::uint64_t, std::uint32_t>;
 
-  Frame HandleStore(const Frame& req);
+  Frame HandleStore(Frame&& req);
   Frame HandleRead(const Frame& req);
-  Frame HandleEncode(const Frame& req);
+  Frame HandleEncode(Frame&& req);
   Frame HandleDegradedRead(const Frame& req);
   Frame HandleRepair(const Frame& req);
   Frame HandleHeartbeat(const Frame& req);

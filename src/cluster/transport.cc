@@ -178,7 +178,8 @@ int LoopbackTransport::call(NodeId from, NodeId to, const Frame& req,
   }
 
   Frame raw_resp;
-  if (const int err = handler(decoded_req, &raw_resp); err != 0) {
+  if (const int err = handler(std::move(decoded_req), &raw_resp);
+      err != 0) {
     RpcErrors().inc();
     return err;
   }

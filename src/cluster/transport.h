@@ -47,7 +47,11 @@ class Transport {
 
 class LoopbackTransport : public Transport {
  public:
-  using Handler = std::function<int(const Frame& req, Frame* resp)>;
+  /// A node's RPC entry point. It receives the request decoded from the
+  /// wire bytes of this one call and owns it: it may move payloads out
+  /// of `req` (a stored chunk keeps the decoded bytes instead of
+  /// copying them). The caller's frame passed to call() is untouched.
+  using Handler = std::function<int(Frame&& req, Frame* resp)>;
 
   LoopbackTransport();
 

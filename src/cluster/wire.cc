@@ -8,6 +8,10 @@ namespace cluster {
 
 namespace {
 
+/// Body bytes before the placement table: seq, stripe, shard, status,
+/// aux and the four geometry fields.
+constexpr std::size_t kFixedBodyBytes = 8 + 8 + 4 + 4 + 8 + 4 * 4;
+
 void PutU16(std::vector<std::byte>* out, std::uint16_t v) {
   out->push_back(static_cast<std::byte>(v & 0xff));
   out->push_back(static_cast<std::byte>((v >> 8) & 0xff));
@@ -107,33 +111,41 @@ const char* to_string(WireStatus s) {
 }
 
 std::vector<std::byte> EncodeFrame(const Frame& f) {
-  std::vector<std::byte> body;
-  PutU64(&body, f.seq);
-  PutU64(&body, f.stripe);
-  PutU32(&body, f.shard);
-  PutU32(&body, static_cast<std::uint32_t>(f.status));
-  PutU64(&body, f.aux);
-  PutU32(&body, f.geom.k);
-  PutU32(&body, f.geom.global);
-  PutU32(&body, f.geom.local);
-  PutU32(&body, f.geom.block_size);
-  PutU32(&body, static_cast<std::uint32_t>(f.placement.size()));
-  for (const NodeId n : f.placement) PutU32(&body, n);
-  PutU32(&body, static_cast<std::uint32_t>(f.blocks.size()));
-  for (const Blob& b : f.blocks) {
-    PutU32(&body, b.index);
-    PutU32(&body, static_cast<std::uint32_t>(b.bytes.size()));
-    body.insert(body.end(), b.bytes.begin(), b.bytes.end());
-  }
+  // Size the body first so header, body and the patched body CRC land
+  // in one buffer of exactly the frame's size, each byte written once.
+  std::size_t body_len = kFixedBodyBytes + 4 + 4 * f.placement.size() + 4;
+  for (const Blob& b : f.blocks) body_len += 8 + b.bytes.size();
 
   std::vector<std::byte> out;
-  out.reserve(kWireHeaderBytes + body.size());
+  out.reserve(kWireHeaderBytes + body_len);
   PutU16(&out, kWireMagic);
   out.push_back(static_cast<std::byte>(kWireVersion));
   out.push_back(static_cast<std::byte>(f.type));
-  PutU32(&out, static_cast<std::uint32_t>(body.size()));
-  PutU32(&out, integrity::Crc32c(body.data(), body.size()));
-  out.insert(out.end(), body.begin(), body.end());
+  PutU32(&out, static_cast<std::uint32_t>(body_len));
+  PutU32(&out, 0);  // body CRC, patched below
+  PutU64(&out, f.seq);
+  PutU64(&out, f.stripe);
+  PutU32(&out, f.shard);
+  PutU32(&out, static_cast<std::uint32_t>(f.status));
+  PutU64(&out, f.aux);
+  PutU32(&out, f.geom.k);
+  PutU32(&out, f.geom.global);
+  PutU32(&out, f.geom.local);
+  PutU32(&out, f.geom.block_size);
+  PutU32(&out, static_cast<std::uint32_t>(f.placement.size()));
+  for (const NodeId n : f.placement) PutU32(&out, n);
+  PutU32(&out, static_cast<std::uint32_t>(f.blocks.size()));
+  for (const Blob& b : f.blocks) {
+    PutU32(&out, b.index);
+    PutU32(&out, static_cast<std::uint32_t>(b.bytes.size()));
+    out.insert(out.end(), b.bytes.begin(), b.bytes.end());
+  }
+
+  const std::uint32_t sum =
+      integrity::Crc32c(out.data() + kWireHeaderBytes, body_len);
+  for (int i = 0; i < 4; ++i) {
+    out[8 + i] = static_cast<std::byte>((sum >> (8 * i)) & 0xff);
+  }
   return out;
 }
 

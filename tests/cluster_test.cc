@@ -339,6 +339,46 @@ TEST_F(ClusterTest, PerNodeFaultSitesHitOnlyTheirNode) {
             ETIMEDOUT);
 }
 
+TEST_F(ClusterTest, FailedFanOutStoreIsRetriedWithItsPayload) {
+  // One store from the primary fails at a non-primary home. The
+  // primary reports that chunk with its payload, the coordinator
+  // stores it directly, and the write is acknowledged with the chunk
+  // bit-exact at its home — for a data chunk and for a parity chunk.
+  LocalCluster c(Cfg(6, 0, kRs));
+  const auto data = MakeStripe(kRs, 31);
+  const auto ptrs = Ptrs(data);
+  ASSERT_TRUE(c.coordinator()
+                  .write_stripe(0, std::span<const std::byte* const>(ptrs))
+                  .ok());
+  const std::uint32_t parity_shard = kRs.k + 1;
+  std::vector<std::byte> want_parity;
+  ASSERT_TRUE(c.node(c.placement().table(0, kRs)[parity_shard] - 1)
+                  .get_chunk(0, parity_shard, &want_parity));
+
+  std::uint64_t stripe = 1;
+  for (const std::uint32_t shard : {2u, parity_shard}) {
+    const auto table = c.placement().table(stripe, kRs);
+    const cluster::NodeId home = table[shard];
+    ASSERT_NE(home, table[0]) << "the primary stores its own chunk";
+    const std::string site = fault::NodeSite(home, "cluster.recv");
+    ASSERT_TRUE(
+        fault::Injector::Global().install_spec(site + ":nth=1,err=EIO"));
+    EXPECT_EQ(c.coordinator()
+                  .write_stripe(stripe,
+                                std::span<const std::byte* const>(ptrs))
+                  .code,
+              OpResult::Code::kOk)
+        << "shard " << shard;
+    EXPECT_EQ(fault::Injector::Global().stats(site).fires, 1u);
+    fault::Injector::Global().clear();
+    std::vector<std::byte> got;
+    ASSERT_TRUE(c.node(home - 1).get_chunk(stripe, shard, &got));
+    EXPECT_EQ(got, shard < kRs.k ? data[shard] : want_parity)
+        << "shard " << shard;
+    ++stripe;
+  }
+}
+
 TEST_F(ClusterTest, TokenBucketEnforcesRateInVirtualTime) {
   std::uint64_t now = 0;
   TokenBucket bucket(1000.0, 500.0, VirtualTime::Manual(&now));
@@ -431,7 +471,7 @@ TEST_F(ClusterTest, PersistedChunkTrailerMatchesThePinnedBytes) {
     }
     req.blocks.push_back(std::move(b));
     cluster::Frame resp;
-    ASSERT_EQ(node.handle(req, &resp), 0);
+    ASSERT_EQ(node.handle(std::move(req), &resp), 0);
     ASSERT_EQ(resp.status, cluster::WireStatus::kOk);
   }
   const std::string pinned(

@@ -41,21 +41,59 @@ TEST(Crc32c, KnownAnswerVectors) {
   EXPECT_EQ(integrity::Crc32c(ones.data(), ones.size()), 0x62A8AB43u);
 }
 
+/// Deterministic, aperiodic bytes (the top byte of a 64-bit LCG), so a
+/// kernel that swapped or misfolded two equal-sized sub-blocks could
+/// not hash to the same value by accident.
+std::vector<unsigned char> LcgBytes(std::size_t n) {
+  std::vector<unsigned char> buf(n);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : buf) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  return buf;
+}
+
 TEST(Crc32c, SoftwareMatchesDispatchedAtEveryTailLength) {
-  // The hardware path processes 8-byte words with a byte tail; every
-  // length up to a few words exercises every tail configuration. When
-  // the build or CPU lacks SSE4.2 both sides run software and the test
-  // degenerates to self-consistency — still worth keeping as a guard
-  // against accidental divergence of the two entry points.
-  std::vector<unsigned char> buf(97);
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  // The hardware path aligns to 8 bytes, runs three chains over 8 KiB
+  // and then 256 B sub-blocks, and finishes with one chain of words
+  // and a byte tail. Every start offset 0-7 crossed with every length
+  // up to a few words, the lengths around both three-block thresholds,
+  // and whole-chunk sizes exercises every stage and every hand-off
+  // between them. When the build or CPU lacks SSE4.2 both sides run
+  // software and the test degenerates to self-consistency — still
+  // worth keeping as a guard against accidental divergence of the two
+  // entry points.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 97; ++n) lengths.push_back(n);
+  for (const std::size_t threshold : {3 * 256, 3 * 8192}) {
+    for (std::size_t n = threshold - 16; n <= threshold + 16; ++n) {
+      lengths.push_back(n);
+    }
   }
-  for (std::size_t n = 0; n <= buf.size(); ++n) {
-    EXPECT_EQ(integrity::Crc32c(buf.data(), n),
-              integrity::Crc32cSoftware(buf.data(), n))
-        << "length " << n;
+  for (std::size_t n = (64 << 10) - 7; n <= (64 << 10) + 7; ++n) {
+    lengths.push_back(n);
   }
+  lengths.push_back((3 << 20) + 5);
+  const std::vector<unsigned char> buf = LcgBytes((3 << 20) + 5 + 7);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (const std::size_t n : lengths) {
+      EXPECT_EQ(integrity::Crc32c(buf.data() + off, n),
+                integrity::Crc32cSoftware(buf.data() + off, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32c, KnownAnswersForChunkSizedBuffers) {
+  // Computed by a single dependent crc32 chain and by slicing-by-8,
+  // independently of the three-chain kernel, so the hardware and
+  // software paths cannot drift together.
+  const std::vector<unsigned char> buf = LcgBytes(3 << 20);
+  EXPECT_EQ(integrity::Crc32c(buf.data(), 64 << 10), 0xBCDFF453u);
+  EXPECT_EQ(integrity::Crc32cSoftware(buf.data(), 64 << 10), 0xBCDFF453u);
+  EXPECT_EQ(integrity::Crc32c(buf.data(), buf.size()), 0x738869A6u);
+  EXPECT_EQ(integrity::Crc32cSoftware(buf.data(), buf.size()), 0x738869A6u);
 }
 
 TEST(Crc32c, ScalarIsaPinsSoftwarePath) {

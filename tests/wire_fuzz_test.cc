@@ -240,6 +240,56 @@ TEST(WireTest, EncodeFrameMatchesThePinnedBytes) {
   EXPECT_TRUE(FramesEqual(f, out));
 }
 
+/// `n` deterministic, aperiodic bytes (the top byte of a 64-bit LCG).
+std::vector<std::byte> LcgBytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> out(n);
+  for (auto& b : out) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::byte>(seed >> 56);
+  }
+  return out;
+}
+
+TEST(WireTest, ChunkSizedFrameHeadersMatchThePinnedBytes) {
+  // Header bytes (magic, v2, type, body length, body CRC) of a 64 KiB
+  // store and a four-block 64 KiB encode, pinned from the release
+  // whose encoder built the body in a separate buffer and whose CRC
+  // ran one chain. Both bodies cross the CRC's 8 KiB three-chain
+  // stage, so encoder and kernel are pinned at real chunk sizes.
+  constexpr std::uint32_t kBlock = 64u << 10;
+  Frame store;
+  store.type = MsgType::kStore;
+  store.seq = 0x0123456789abcdefull;
+  store.stripe = 42;
+  store.geom = {.k = 4, .global = 2, .local = 2, .block_size = kBlock};
+  store.blocks.push_back({5, LcgBytes(kBlock, 5)});
+  Frame encode = store;
+  encode.type = MsgType::kEncode;
+  encode.placement = {1, 2, 3, 4, 5, 6, 7, 8};
+  encode.blocks.clear();
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    encode.blocks.push_back({i, LcgBytes(kBlock, i)});
+  }
+  for (const auto& [f, pinned] :
+       {std::pair{store, std::string("17dc02094000010022208b27")},
+        std::pair{encode, std::string("17dc0201780004009a68c69c")}}) {
+    const auto bytes = EncodeFrame(f);
+    std::string hex;
+    for (std::size_t i = 0; i < cluster::kWireHeaderBytes; ++i) {
+      char buf[3];
+      std::snprintf(buf, sizeof(buf), "%02x",
+                    static_cast<unsigned>(bytes[i]));
+      hex += buf;
+    }
+    EXPECT_EQ(hex, pinned) << cluster::type_name(f.type);
+    Frame out;
+    std::size_t consumed = 0;
+    ASSERT_EQ(DecodeFrame(bytes, &out, &consumed), ParseStatus::kOk);
+    EXPECT_EQ(consumed, bytes.size());
+    EXPECT_TRUE(FramesEqual(f, out));
+  }
+}
+
 TEST(WireFuzzTest, SeededRandomMutationsNeverCrash) {
   const auto good = EncodeFrame(SampleFrame());
   std::mt19937_64 rng(20260808);
