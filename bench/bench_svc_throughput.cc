@@ -1,33 +1,8 @@
-// Stripe-service load sweep: offered load vs completion latency.
+// Stripe-service timing gates: the two measurements no deterministic
+// test can hold, because each checks a ratio of wall-clock times.
 //
-// Each point runs a fresh svc::StripeService and P open-loop producers
-// submitting RS(8,3)/1KB encode stripes at a fixed aggregate offered
-// rate. The service batches admitted requests onto the work-stealing
-// pool; admission control sheds load once the bounded queue saturates.
-// The series reports, per offered-load level: achieved throughput,
-// admitted/rejected split, p50/p99 service latency (submit ->
-// completion), mean dispatched batch size, and the pool counters — the
-// classic open-loop latency curve (flat until saturation, then the p99
-// knee plus rejections instead of unbounded queueing).
-//
-// Machine-readable output: DIALGA_CSV_DIR drops the series as
-// bench_svc_throughput.csv; every point is also a google-benchmark
-// entry whose counters carry the same columns (JSON via
-// --benchmark_format=json).
-//
-// --file-backed switches to the file datapath comparison instead: one
-// encode_file + decode_file round trip per aio backend (stdio, and
-// uring when the kernel has io_uring) over a 32 MiB input with the
-// stripe service attached, checking the two backends produce
-// bit-identical shards, manifest, and decoded output, and reporting
-// throughput per backend. Series lands as
-// bench_svc_throughput_datapath.csv under DIALGA_CSV_DIR.
-//
-// --cluster-nodes N switches to the cluster-tier sweep: healthy
-// writes/reads, degraded reads with a node down, a scrub-repair pass
-// and a remove-node rebalance against an in-process N-node cluster,
-// reported as payload throughput per operation. Series lands as
-// bench_svc_throughput_cluster.csv under DIALGA_CSV_DIR.
+//   bench_svc_throughput --integrity
+//   bench_svc_throughput --qos [run-seconds]
 //
 // --integrity measures what verify-on-read costs the decode path
 // (checksum verification off vs on, best of three reps; target <= 5%
@@ -38,51 +13,50 @@
 // degraded reads) three ways — degraded-only baseline, ungoverned mix,
 // governed mix — and checks the governed degraded-read p99 stays
 // within 1.5x its bulk-free baseline while bulk throughput holds >=
-// 80% of the ungoverned run. Series lands as
+// 80% of the ungoverned run. Each run lasts run-seconds (default 1.5;
+// a finite positive decimal). Series lands as
 // bench_svc_throughput_qos.csv.
 //
-// Latency columns come in two flavors since the coordinated-omission
-// fix: p50/p99 measure submit -> completion (service view), while
-// p50i/p99i measure from the *intended* schedule-derived send time —
-// when a producer falls behind its open-loop schedule, the time it
-// spent blocked counts against the system, not the workload.
+// Both series land under DIALGA_CSV_DIR when it names an existing
+// directory. Exit status: 0 when every check prints [PASS], 1 when one
+// prints [FAIL], 2 with a usage line for any other invocation.
+//
+// The --qos latency columns come in two flavors: p50/p99 measure
+// submit -> completion (service view), while p50i/p99i measure from
+// the *intended* schedule-derived send time — when a producer falls
+// behind its open-loop schedule, the time it spent blocked counts
+// against the system, not the workload.
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
+#include <memory>
+#include <optional>
 #include <random>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "aio/datapath.h"
 #include "bench_util/stats.h"
-#include "cluster/local_cluster.h"
+#include "bench_util/table.h"
 #include "ec/isal.h"
-#include "fault/injector.h"
-#include "fig_common.h"
 #include "shard/shard_store.h"
 #include "svc/governor.h"
 #include "svc/stripe_service.h"
 
 namespace {
-
-struct PointResult {
-  double seconds = 0.0;
-  double achieved_kops = 0.0;
-  svc::ServiceStats stats;
-  /// Coordinated-omission-corrected percentiles: latency measured from
-  /// each request's intended (schedule-derived) send time, so time a
-  /// producer spent running behind its open-loop schedule counts.
-  double p50_intended_s = 0.0;
-  double p99_intended_s = 0.0;
-  std::size_t intended_samples = 0;
-};
 
 /// One producer's pre-allocated stripes (buffers must outlive futures).
 struct ProducerBuffers {
@@ -118,211 +92,11 @@ struct ProducerBuffers {
   }
 };
 
-PointResult RunPoint(double offered_kops, std::size_t producers,
-                     std::size_t per_producer, const ec::Codec& codec,
-                     std::size_t k, std::size_t m, std::size_t bs) {
-  svc::StripeService::Config cfg;
-  cfg.queue_capacity = 512;
-  svc::StripeService service(std::move(cfg));
-
-  std::vector<std::unique_ptr<ProducerBuffers>> buffers;
-  for (std::size_t p = 0; p < producers; ++p) {
-    buffers.push_back(std::make_unique<ProducerBuffers>(
-        per_producer, k, m, bs, static_cast<unsigned>(40 + p)));
-  }
-
-  // Open-loop pacing: each producer submits on a fixed-interval clock
-  // regardless of completions. sleep_until rather than a deadline spin
-  // so the producers do not steal cycles from the pool workers on
-  // small machines; at the highest rates the sleep returns immediately
-  // and pacing degrades to submit-as-fast-as-possible, which is the
-  // overload the sweep wants anyway.
-  const double per_producer_rate = offered_kops * 1e3 / producers;
-  const auto interval = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(1.0 / per_producer_rate));
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::vector<double>> corrected(producers);
-  std::vector<std::thread> threads;
-  for (std::size_t p = 0; p < producers; ++p) {
-    corrected[p].assign(per_producer, -1.0);
-    threads.emplace_back([&, p] {
-      std::vector<std::future<svc::Result>> done;
-      // Lateness of each actual submit vs its intended schedule slot:
-      // the coordinated-omission correction adds it back to the
-      // measured service latency, so requests a stalled producer
-      // couldn't even send still charge the system for the stall.
-      std::vector<double> late(per_producer, 0.0);
-      done.reserve(per_producer);
-      auto next = std::chrono::steady_clock::now();
-      for (std::size_t s = 0; s < per_producer; ++s) {
-        std::this_thread::sleep_until(next);
-        late[s] = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - next)
-                      .count();
-        next += interval;
-        done.push_back(service.submit(buffers[p]->request(s, &codec)));
-      }
-      for (std::size_t s = 0; s < per_producer; ++s) {
-        const svc::Result res = done[s].get();
-        if (res.ok()) {
-          corrected[p][s] = std::max(0.0, late[s]) + res.service_seconds;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  PointResult r;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.stats = service.stats();
-  r.achieved_kops =
-      r.seconds > 0.0
-          ? static_cast<double>(r.stats.completed_ok) / (r.seconds * 1e3)
-          : 0.0;
-  std::vector<double> all;
-  for (const auto& v : corrected) {
-    for (const double x : v) {
-      if (x >= 0.0) all.push_back(x);
-    }
-  }
-  if (!all.empty()) {
-    r.p50_intended_s = bench_util::Percentile(all, 0.50);
-    r.p99_intended_s = bench_util::Percentile(all, 0.99);
-    r.intended_samples = all.size();
-  }
-  return r;
-}
-
 /// Slurp a file's bytes (plain read; comparison only).
 std::vector<std::byte> Slurp(const std::filesystem::path& p) {
   std::vector<std::byte> out;
   aio::ReadFileFull(p, &out);
   return out;
-}
-
-/// Whole-directory byte comparison: same file set, same contents.
-bool DirsIdentical(const std::filesystem::path& a,
-                   const std::filesystem::path& b) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> names;
-  for (const auto& e : fs::directory_iterator(a)) {
-    names.push_back(e.path().filename().string());
-  }
-  std::size_t b_count = 0;
-  for ([[maybe_unused]] const auto& e : fs::directory_iterator(b)) ++b_count;
-  if (b_count != names.size()) return false;
-  for (const auto& n : names) {
-    if (Slurp(a / n) != Slurp(b / n)) return false;
-  }
-  return true;
-}
-
-/// The --file-backed mode: stdio vs uring over the shard datapath.
-int RunFileBacked() {
-  namespace fs = std::filesystem;
-  const std::size_t k = 8, m = 3, bs = 64 * 1024;
-  const std::size_t input_bytes = 32ull << 20;
-  const ec::IsalCodec codec(k, m);
-
-  const fs::path root =
-      fs::temp_directory_path() /
-      ("dialga_bench_datapath_" + std::to_string(::getpid()));
-  fs::create_directories(root);
-  const fs::path input = root / "input.bin";
-  {
-    std::mt19937_64 rng(42);
-    std::vector<std::byte> data(input_bytes);
-    for (auto& x : data) x = static_cast<std::byte>(rng());
-    std::ofstream out(input, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-  }
-
-  struct BackendRun {
-    const char* name;
-    aio::Mode mode;
-    double encode_s = 0.0, decode_s = 0.0;
-    bool ok = false;
-  };
-  std::vector<BackendRun> runs{{"stdio", aio::Mode::kStdio}};
-  const bool have_uring =
-      aio::SelectBackend(aio::Mode::kAuto) == aio::Backend::kUring;
-  if (have_uring) runs.push_back({"uring", aio::Mode::kUring});
-
-  bench_util::Table table({"backend", "op", "bytes", "seconds", "GBps"});
-  for (auto& run : runs) {
-    svc::StripeService service(svc::StripeService::Config{});
-    shard::ShardStore store(codec, bs);
-    store.use_service(&service);
-    store.set_aio_mode(run.mode);
-    const fs::path dir = root / (std::string("shards_") + run.name);
-    const fs::path decoded = root / (std::string("out_") + run.name);
-
-    auto t0 = std::chrono::steady_clock::now();
-    const shard::Status enc = store.encode_file(input, dir);
-    auto t1 = std::chrono::steady_clock::now();
-    const shard::Status dec = store.decode_file(dir, decoded);
-    auto t2 = std::chrono::steady_clock::now();
-    run.encode_s = std::chrono::duration<double>(t1 - t0).count();
-    run.decode_s = std::chrono::duration<double>(t2 - t1).count();
-    run.ok = enc.ok() && dec.ok();
-    if (!run.ok) {
-      std::fprintf(stderr, "%s backend failed: %s\n", run.name,
-                   (enc.ok() ? dec : enc).message().c_str());
-    }
-    for (const auto& [op, secs] : {std::pair{"encode", run.encode_s},
-                                   std::pair{"decode", run.decode_s}}) {
-      table.row({run.name, op, std::to_string(input_bytes),
-                 bench_util::Table::num(secs, 6),
-                 bench_util::Table::num(
-                     secs > 0 ? input_bytes / (secs * 1e9) : 0.0, 3)});
-    }
-  }
-
-  const auto original = Slurp(input);
-  bool outputs_match = true;
-  bool shards_match = true;
-  for (const auto& run : runs) {
-    outputs_match &=
-        run.ok && Slurp(root / (std::string("out_") + run.name)) == original;
-  }
-  if (runs.size() == 2 && runs[0].ok && runs[1].ok) {
-    shards_match = DirsIdentical(root / "shards_stdio", root / "shards_uring");
-  }
-
-  std::printf("\n=== File-backed shard datapath: RS(%zu,%zu), %zu B blocks, "
-              "%zu MiB input ===\n",
-              k, m, bs, input_bytes >> 20);
-  table.print(std::cout);
-  std::printf("\npaper-shape checks:\n");
-  bool all = true;
-  auto check = [&](const char* claim, bool holds) {
-    std::printf("  [%s] %s\n", holds ? "PASS" : "FAIL", claim);
-    all &= holds;
-  };
-  bool every_ok = true;
-  for (const auto& run : runs) every_ok &= run.ok;
-  check("every backend round-trips without error", every_ok);
-  check("decoded outputs are bit-identical to the input", outputs_match);
-  if (runs.size() == 2) {
-    check("stdio and uring emit bit-identical shards and manifest",
-          shards_match);
-    const double ratio =
-        runs[1].encode_s > 0 ? runs[0].encode_s / runs[1].encode_s : 0.0;
-    std::printf("  uring/stdio encode speedup: %.2fx\n", ratio);
-  } else {
-    std::printf("  (io_uring unavailable: stdio only, no comparison)\n");
-  }
-
-  if (const char* dir = std::getenv("DIALGA_CSV_DIR"); dir != nullptr) {
-    std::ofstream out(std::string(dir) + "/bench_svc_throughput_datapath.csv");
-    if (out) table.print_csv(out);
-  }
-  std::error_code ec;
-  fs::remove_all(root, ec);
-  return all ? 0 : 1;
 }
 
 /// The --integrity mode: what verify-on-read costs on the decode path.
@@ -403,135 +177,6 @@ int RunIntegrity() {
   }
   std::error_code ec;
   fs::remove_all(root, ec);
-  return all ? 0 : 1;
-}
-
-/// The --cluster-nodes N mode: operation sweep over the in-process
-/// cluster tier — healthy writes and reads, degraded reads with a node
-/// down, a scrub-repair pass over dropped chunks, and a remove-node
-/// rebalance — each reported as payload throughput. Series lands as
-/// bench_svc_throughput_cluster.csv under DIALGA_CSV_DIR.
-int RunCluster(std::size_t nodes) {
-  const std::size_t stripes = 48;
-  cluster::Geometry geom;
-  geom.k = 4;
-  geom.global = 2;
-  geom.local = 0;
-  geom.block_size = 64 * 1024;
-
-  cluster::LocalClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.geom = geom;
-  cluster::LocalCluster c(std::move(cfg));
-  cluster::Coordinator& coord = c.coordinator();
-
-  std::mt19937_64 rng(7);
-  std::vector<std::vector<std::byte>> data(stripes * geom.k);
-  for (auto& b : data) {
-    b.resize(geom.block_size);
-    for (auto& x : b) x = static_cast<std::byte>(rng());
-  }
-  const std::uint64_t payload =
-      static_cast<std::uint64_t>(stripes) * geom.k * geom.block_size;
-
-  bench_util::Table table({"op", "stripes", "bytes", "seconds", "GBps"});
-  auto timed = [&](const char* op, std::uint64_t bytes, auto&& body) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool ok = body();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    table.row({op, std::to_string(stripes), std::to_string(bytes),
-               bench_util::Table::num(secs, 6),
-               bench_util::Table::num(
-                   secs > 0 ? bytes / (secs * 1e9) : 0.0, 3)});
-    return ok;
-  };
-
-  const bool writes_acked = timed("write", payload, [&] {
-    bool ok = true;
-    for (std::size_t s = 0; s < stripes; ++s) {
-      std::vector<const std::byte*> blocks;
-      for (std::size_t i = 0; i < geom.k; ++i) {
-        blocks.push_back(data[s * geom.k + i].data());
-      }
-      ok &= coord.write_stripe(s, blocks).code ==
-            cluster::OpResult::Code::kOk;
-    }
-    return ok;
-  });
-
-  auto read_all = [&](bool* identical) {
-    bool ok = true;
-    *identical = true;
-    std::vector<std::vector<std::byte>> out(geom.k);
-    for (auto& b : out) b.resize(geom.block_size);
-    for (std::size_t s = 0; s < stripes; ++s) {
-      std::vector<std::byte*> ptrs;
-      for (auto& b : out) ptrs.push_back(b.data());
-      ok &= coord.read_stripe(s, ptrs).ok();
-      for (std::size_t i = 0; i < geom.k; ++i) {
-        *identical &= out[i] == data[s * geom.k + i];
-      }
-    }
-    return ok;
-  };
-
-  bool healthy_identical = false;
-  const bool healthy_ok =
-      timed("read", payload, [&] { return read_all(&healthy_identical); });
-
-  c.kill(0);
-  bool degraded_identical = false;
-  const bool degraded_ok = timed("degraded_read", payload, [&] {
-    return read_all(&degraded_identical);
-  });
-  c.revive(0);
-
-  // Damage: drop the first data chunk of every stripe at its home, then
-  // let one scrub pass put them all back.
-  std::size_t dropped = 0;
-  for (std::size_t s = 0; s < stripes; ++s) {
-    const auto t = c.placement().table(s, geom);
-    if (c.node(t[0] - 1).drop_chunk(s, 0)) ++dropped;
-  }
-  cluster::ScrubReport scrub;
-  const bool scrub_ok =
-      timed("scrub_repair",
-            static_cast<std::uint64_t>(dropped) * geom.block_size,
-            [&] {
-              scrub = coord.scrub_pass();
-              return scrub.repaired == dropped && scrub.unrecoverable == 0;
-            });
-
-  cluster::RebalanceReport rebal;
-  const bool rebal_ok = timed("rebalance", payload, [&] {
-    rebal = coord.remove_node(cluster::LocalCluster::id_of(nodes - 1));
-    return rebal.failed == 0;
-  });
-
-  std::printf("\n=== Cluster tier: %zu nodes, RS(%u,%u), %u B blocks, "
-              "%zu stripes ===\n",
-              nodes, geom.k, geom.global, geom.block_size, stripes);
-  table.print(std::cout);
-  std::printf("\npaper-shape checks:\n");
-  bool all = true;
-  auto check = [&](const char* claim, bool holds) {
-    std::printf("  [%s] %s\n", holds ? "PASS" : "FAIL", claim);
-    all &= holds;
-  };
-  check("every write is acknowledged (all chunks homed)", writes_acked);
-  check("healthy reads return bit-identical data",
-        healthy_ok && healthy_identical);
-  check("degraded reads with a node down stay bit-identical",
-        degraded_ok && degraded_identical);
-  check("one scrub pass repairs every dropped chunk", scrub_ok);
-  check("remove-node rebalance re-homes chunks without failures",
-        rebal_ok && rebal.moved + rebal.rebuilt > 0);
-
-  if (const char* dir = std::getenv("DIALGA_CSV_DIR"); dir != nullptr) {
-    std::ofstream out(std::string(dir) + "/bench_svc_throughput_cluster.csv");
-    if (out) table.print_csv(out);
-  }
   return all ? 0 : 1;
 }
 
@@ -827,110 +472,40 @@ int RunQos(double run_seconds) {
   return all ? 0 : 1;
 }
 
+/// The --qos run length: the whole argument must be a finite, positive
+/// decimal ("nan", "2x", "-1" and "" are all rejected).
+std::optional<double> ParseSeconds(std::string_view text) {
+  double secs = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, secs);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(secs) ||
+      secs <= 0.0) {
+    return std::nullopt;
+  }
+  return secs;
+}
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_svc_throughput --integrity | --qos "
+               "[run-seconds]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // DIALGA_FAULT_PLAN / DIALGA_FAULT_SEED turn this bench into a
-  // degraded-mode throughput measurement (rejections/deadlines under a
-  // deterministic fault schedule); unset, the checks below expect the
-  // clean curve.
-  std::string plan_error;
-  if (!fault::Injector::Global().install_from_env(&plan_error)) {
-    std::fprintf(stderr, "bad DIALGA_FAULT_PLAN: %s\n", plan_error.c_str());
-    return 2;
+  if (argc == 2 && std::strcmp(argv[1], "--integrity") == 0) {
+    return RunIntegrity();
   }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--file-backed") == 0) return RunFileBacked();
-    if (std::strcmp(argv[i], "--integrity") == 0) return RunIntegrity();
-    if (std::strcmp(argv[i], "--qos") == 0) {
-      double secs = 1.5;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        secs = std::strtod(argv[i + 1], nullptr);
-        if (secs <= 0.0) {
-          std::fprintf(stderr, "--qos wants a positive run-seconds\n");
-          return 2;
-        }
-      }
-      return RunQos(secs);
+  if ((argc == 2 || argc == 3) && std::strcmp(argv[1], "--qos") == 0) {
+    double secs = 1.5;
+    if (argc == 3) {
+      const std::optional<double> parsed = ParseSeconds(argv[2]);
+      if (!parsed) return Usage();
+      secs = *parsed;
     }
-    if (std::strcmp(argv[i], "--cluster-nodes") == 0 && i + 1 < argc) {
-      const std::size_t n = std::strtoull(argv[i + 1], nullptr, 10);
-      if (n == 0) {
-        std::fprintf(stderr, "--cluster-nodes wants a positive count\n");
-        return 2;
-      }
-      return RunCluster(n);
-    }
+    return RunQos(secs);
   }
-  const std::size_t k = 8, m = 3, bs = 1024;
-  const std::size_t producers = 4;
-  const std::size_t per_producer = 400;
-  const ec::IsalCodec codec(k, m);
-
-  fig::FigureBench figure(
-      "Stripe service: offered load vs completion latency, RS(8,3) 1KB "
-      "encode",
-      {"offered_kops", "achieved_kops", "admitted", "rejected", "p50_us",
-       "p99_us", "p50i_us", "p99i_us", "mean_batch", "pool_tasks",
-       "pool_steals", "pool_max_queue"});
-
-  std::uint64_t low_load_rejected = 0;
-  std::uint64_t overload_rejected = 0;
-  bool every_point_completed = true;
-  for (const double offered : {5.0, 20.0, 80.0, 320.0, 1280.0}) {
-    const PointResult r =
-        RunPoint(offered, producers, per_producer, codec, k, m, bs);
-    const svc::ServiceStats& st = r.stats;
-    const std::uint64_t rejected =
-        st.rejected_queue_full + st.rejected_class_limit;
-    every_point_completed &= st.completed_ok > 0;
-    if (offered == 5.0) low_load_rejected = rejected;
-    if (offered == 1280.0) overload_rejected = rejected;
-
-    bench_util::RunResult as_run;
-    as_run.sim_seconds = r.seconds;
-    as_run.payload_bytes = st.completed_ok * k * bs;
-    as_run.gbps = r.seconds > 0.0
-                      ? static_cast<double>(as_run.payload_bytes) /
-                            (r.seconds * 1e9)
-                      : 0.0;
-    figure.point(
-        "svc/offered_kops:" + std::to_string(static_cast<int>(offered)),
-        {bench_util::Table::num(offered, 0),
-         bench_util::Table::num(r.achieved_kops, 1),
-         std::to_string(st.admitted), std::to_string(rejected),
-         bench_util::Table::num(st.latency_p50_s * 1e6, 1),
-         bench_util::Table::num(st.latency_p99_s * 1e6, 1),
-         bench_util::Table::num(r.p50_intended_s * 1e6, 1),
-         bench_util::Table::num(r.p99_intended_s * 1e6, 1),
-         bench_util::Table::num(st.mean_batch_stripes(), 2),
-         std::to_string(st.pool.tasks_run), std::to_string(st.pool.steals),
-         std::to_string(st.pool.max_queue_depth)},
-        as_run,
-        {{"offered_kops", offered},
-         {"achieved_kops", r.achieved_kops},
-         {"admitted", static_cast<double>(st.admitted)},
-         {"rejected", static_cast<double>(rejected)},
-         {"p50_us", st.latency_p50_s * 1e6},
-         {"p99_us", st.latency_p99_s * 1e6},
-         {"p50i_us", r.p50_intended_s * 1e6},
-         {"p99i_us", r.p99_intended_s * 1e6},
-         {"mean_batch", st.mean_batch_stripes()},
-         {"queue_high_water", static_cast<double>(st.queue_high_water)},
-         {"pool_tasks", static_cast<double>(st.pool.tasks_run)},
-         {"pool_steals", static_cast<double>(st.pool.steals)},
-         {"pool_max_queue",
-          static_cast<double>(st.pool.max_queue_depth)}});
-  }
-
-  figure.check("every point keeps a nonzero completion count",
-               every_point_completed);
-  figure.check("admission control stays quiet at the lightest load",
-               low_load_rejected == 0);
-  // The load-shedding contract: past saturation the service rejects
-  // rather than queueing without bound (which is why completed-request
-  // latency stays capped instead of growing with offered load).
-  figure.check("overload is shed through rejections, not queueing",
-               overload_rejected > 0);
-  return figure.run(argc, argv);
+  return Usage();
 }

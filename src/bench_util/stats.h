@@ -29,8 +29,8 @@ Stats Summarize(std::span<const double> samples);
 
 /// Quantile q in [0, 1] with linear interpolation between closest
 /// ranks (the convention of numpy.percentile). Service-latency
-/// consumers (svc::StripeService stats, bench_svc_throughput) report
-/// p50/p99 through this. Returns 0 on an empty sample set.
+/// consumers (svc::StripeService stats, bench_svc_throughput --qos)
+/// report p50/p99 through this. Returns 0 on an empty sample set.
 double Percentile(std::span<const double> samples, double q);
 
 /// Run a timed encode `runs` times with distinct workload seeds and

@@ -51,6 +51,11 @@ struct ShardMetrics {
   }
 };
 
+/// Geometry bounds of a manifest. parse() rejects anything outside
+/// them, so encode_file() refuses to write a generation beyond them.
+constexpr std::size_t kMaxShards = 4096;                 // k + m
+constexpr std::size_t kMaxBlock = std::size_t{1} << 30;  // 1 GiB
+
 }  // namespace
 
 std::string Status::message() const {
@@ -105,8 +110,6 @@ std::optional<Manifest> Manifest::parse(const std::string& text) {
   // stripe arithmetic: geometry must precede the checksum table, shard
   // indices never grow the vector, and k * block_size cannot wrap to
   // zero (the stripes() divisor).
-  constexpr std::size_t kMaxShards = 4096;                  // k + m
-  constexpr std::size_t kMaxBlock = std::size_t{1} << 30;   // 1 GiB
   constexpr std::uint64_t kMaxFile = std::uint64_t{1} << 50;  // 1 PiB
 
   // The self-checksum covers an exact byte prefix, so it is checked
@@ -449,6 +452,10 @@ Status ShardStore::decode_stripes(
 Status ShardStore::encode_file(const fs::path& input,
                                const fs::path& dir) const {
   const auto [k, m] = codec_.params();
+  if (k == 0 || m == 0 || k + m > kMaxShards || block_size_ == 0 ||
+      block_size_ > kMaxBlock) {
+    return Status::Io(EINVAL, dir, "geometry the manifest cannot record");
+  }
   std::uint64_t file_size = 0;
   if (const auto st = aio::StatSize(input, &file_size); !st.ok()) {
     return Status::Io(st.err, input, "unreadable input");

@@ -170,8 +170,8 @@ class ShardStore {
 
   /// Verify-on-read: every load checks shard checksums against the
   /// manifest and treats mismatches as damage (the default). Turning
-  /// it off skips the checksum pass — the bench_svc_throughput
-  /// integrity series measures exactly this delta; production paths
+  /// it off skips the checksum pass — the `bench_svc_throughput
+  /// --integrity` gate measures exactly this delta; production paths
   /// should leave it on.
   void set_verify_on_read(bool on) { verify_on_read_ = on; }
   bool verify_on_read() const { return verify_on_read_; }
@@ -183,7 +183,9 @@ class ShardStore {
   bool read_repair() const { return read_repair_; }
 
   /// Encode `input` into `dir` (created if needed). kIoError with
-  /// errno + path on filesystem failure.
+  /// errno + path on filesystem failure. A geometry Manifest::parse
+  /// rejects (k, m or block of 0, a block over 1 GiB, k + m over 4096)
+  /// is kIoError EINVAL before anything is read or written.
   Status encode_file(const std::filesystem::path& input,
                      const std::filesystem::path& dir) const;
 

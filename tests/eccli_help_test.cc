@@ -5,18 +5,25 @@
 // The table had drifted once — the help text stopped at 4 while the
 // tool exited 5 and 6 — and this test is what keeps that from
 // happening again: adding an exit code without updating both tables
-// fails here, not in a user's script.
+// fails here, not in a user's script. The real binary then pins the
+// usage exit for malformed or out-of-range option values.
 #include "cli/eccli_usage.h"
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "eccli_runner.h"
 #include "gtest/gtest.h"
 
 namespace {
+
+namespace fs = std::filesystem;
 
 constexpr int kAllCodes[] = {
     cli::kExitOk,     cli::kExitDamaged,  cli::kExitUsage, cli::kExitIo,
@@ -93,6 +100,40 @@ TEST(EccliHelp, DocsUsageTableCoversEveryExitCode) {
         << "exit code " << code << " missing from docs/usage.md table";
   }
 #endif
+}
+
+// Every numeric flag takes a whole unsigned decimal, and the geometry
+// must be one every codec and the manifest accept: k, m >= 1,
+// k + m <= 256 and a block of 1 B to 1 GiB. Each value below exits 2
+// and creates no shard directory; a lenient parse would abort on an
+// uncaught exception, crash, run another value, or write a generation
+// the tool's own decode rejects.
+TEST(EccliArgs, MalformedOrOutOfRangeValuesAreUsageErrors) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dialga_eccli_args_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::ofstream(dir / "in.bin", std::ios::binary) << std::string(5000, 'x');
+  const fs::path shards = dir / "shards";
+  const std::string files = (dir / "in.bin").string() + " " + shards.string();
+
+  for (const char* flags :
+       {"--k abc", "--k ''", "--block 99999999999999999999", "--k -1",
+        "--k 8x", "--k 300", "--k 0", "--m 0", "--block 0",
+        "--k 250 --m 7", "--block 1073741825", "--retries 2x",
+        "--cluster-nodes 6 --m 0"}) {
+    SCOPED_TRACE(flags);
+    std::string out;
+    EXPECT_EQ(RunEccli(std::string("encode ") + flags + " " + files, &out),
+              cli::kExitUsage)
+        << out;
+    EXPECT_FALSE(fs::exists(shards));
+  }
+  std::string out;
+  EXPECT_EQ(RunEccli("encode --k 8 --m 3 " + files, &out), cli::kExitOk)
+      << out;
+  EXPECT_TRUE(fs::exists(shards / "manifest.txt"));
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // the three trigger kinds (nth list, every-Nth, probability) and their
 // OR-combination, max_fires capping, scoped plan lifetime against the
 // global instance, thread-safe counters under concurrent fire(), the
-// spec-string parser including its rejection diagnostics, and the
+// spec-string parser including its rejection diagnostics, the
+// environment install (DIALGA_FAULT_SEED / DIALGA_FAULT_PLAN), and the
 // strict CHAOS_SEED parse the seeded suites share.
 //
 // Every test runs against Injector::Global() (that is what the built-in
@@ -14,9 +15,11 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chaos_seeds.h"
@@ -330,6 +333,78 @@ TEST_F(FaultTest, NodeScopedSpecParses) {
   EXPECT_TRUE(FiresAt(3, "shard.read"));
   EXPECT_FALSE(FiresAt(1, "shard.read"));
   EXPECT_FALSE(Fires("shard.read"));
+}
+
+/// install_from_env reads DIALGA_FAULT_SEED and DIALGA_FAULT_PLAN.
+/// Each test starts with both unset and sets them in-process; TearDown
+/// restores whatever the run started with.
+class FaultEnvTest : public FaultTest {
+ protected:
+  void SetUp() override {
+    FaultTest::SetUp();
+    for (auto& [name, value] : saved_) {
+      if (const char* v = std::getenv(name)) value = v;
+      ::unsetenv(name);
+    }
+  }
+  void TearDown() override {
+    for (const auto& [name, value] : saved_) {
+      if (value) {
+        ::setenv(name, value->c_str(), 1);
+      } else {
+        ::unsetenv(name);
+      }
+    }
+    FaultTest::TearDown();
+  }
+
+ private:
+  std::pair<const char*, std::optional<std::string>> saved_[2] = {
+      {"DIALGA_FAULT_SEED", std::nullopt},
+      {"DIALGA_FAULT_PLAN", std::nullopt}};
+};
+
+// A seed that is not a whole unsigned decimal warns and keeps the
+// current seed: a lenient parse would run "abc" as seed 0.
+TEST_F(FaultEnvTest, MalformedSeedKeepsTheCurrentSeed) {
+  Injector::Global().set_seed(11);
+  for (const char* bad : {"abc", "3x", "-1", ""}) {
+    ::setenv("DIALGA_FAULT_SEED", bad, 1);
+    ::testing::internal::CaptureStderr();
+    std::string err;
+    EXPECT_TRUE(Injector::Global().install_from_env(&err)) << err;
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(Injector::Global().seed(), 11u) << "'" << bad << "'";
+    EXPECT_NE(warning.find("keeping seed 11"), std::string::npos) << warning;
+  }
+}
+
+TEST_F(FaultEnvTest, ValidSeedIsApplied) {
+  ::setenv("DIALGA_FAULT_SEED", "42", 1);
+  std::string err;
+  EXPECT_TRUE(Injector::Global().install_from_env(&err)) << err;
+  EXPECT_EQ(Injector::Global().seed(), 42u);
+  EXPECT_FALSE(Injector::Global().active());  // a seed installs no plan
+}
+
+TEST_F(FaultEnvTest, BadPlanIsRejectedWithADiagnostic) {
+  ::setenv("DIALGA_FAULT_PLAN", "bogus", 1);
+  std::string err;
+  EXPECT_FALSE(Injector::Global().install_from_env(&err));
+  EXPECT_FALSE(err.empty());
+  EXPECT_FALSE(Injector::Global().active());
+}
+
+TEST_F(FaultEnvTest, GoodPlanInstalls) {
+  ::setenv("DIALGA_FAULT_SEED", "7", 1);
+  ::setenv("DIALGA_FAULT_PLAN", "shard.read:every=2,err=EINTR", 1);
+  std::string err;
+  ASSERT_TRUE(Injector::Global().install_from_env(&err)) << err;
+  EXPECT_TRUE(Injector::Global().active());
+  EXPECT_EQ(Injector::Global().seed(), 7u);
+  EXPECT_EQ(FiringOps("shard.read", 4), (std::vector<std::uint64_t>{2, 4}));
+  EXPECT_EQ(Injector::Global().fire("shard.read"), 0);  // op 5
+  EXPECT_EQ(Injector::Global().fire("shard.read"), EINTR);
 }
 
 // A CHAOS_SEED that is not a whole unsigned 64-bit decimal is rejected:

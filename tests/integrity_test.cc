@@ -5,8 +5,6 @@
 // manifest-hardening regressions (a bit-flipped or truncated manifest
 // must be a parse failure, never a silently-zero table), and the
 // per-layer attribution of the dialga_integrity_* counters.
-#include <sys/wait.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "dialga/dialga.h"
+#include "eccli_runner.h"
 #include "gf/gf_simd.h"
 #include "integrity/checksum.h"
 #include "obs/metrics.h"
@@ -251,18 +250,6 @@ void WriteFileBytes(const fs::path& p, const std::string& s) {
 std::string ReadFileBytes(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
-/// Run eccli with `args`; returns its exit status and fills `*out` with
-/// the combined stdout + stderr.
-int RunEccli(const std::string& args, std::string* out) {
-  const std::string cmd = std::string(DIALGA_ECCLI) + " " + args + " 2>&1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return -1;
-  char buf[256];
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) *out += buf;
-  const int status = ::pclose(pipe);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 TEST(CrossGeneration, UnsupportedGenerationsFailClosed) {

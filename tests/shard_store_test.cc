@@ -2,20 +2,59 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <fstream>
 #include <random>
+#include <string>
 
 #include "aio/ring.h"
 #include "dialga/dialga.h"
 #include "ec/isal.h"
 #include "fault/injector.h"
 #include "manifest_seal.h"
+#include "obs/metrics.h"
+#include "svc/stripe_service.h"
 
 namespace shard {
 namespace {
 
 namespace fs = std::filesystem;
+
+constexpr char kSerialFallbacks[] = "dialga_shard_serial_fallbacks_total";
+constexpr char kResubmits[] = "dialga_shard_service_resubmits_total";
+
+std::uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().counter(name, {}).value();
+}
+
+/// Reports a geometry and computes nothing: encode_file must refuse
+/// the geometry before any stripe reaches the codec.
+class GeometryOnlyCodec : public ec::Codec {
+ public:
+  GeometryOnlyCodec(std::size_t k, std::size_t m) : k_(k), m_(m) {}
+  std::string name() const override { return "geometry-only"; }
+  ec::CodeParams params() const override { return {k_, m_}; }
+  ec::SimdWidth simd() const override { return ec::SimdWidth::kAvx256; }
+  void encode(std::size_t, std::span<const std::byte* const>,
+              std::span<std::byte* const>) const override {}
+  bool decode(std::size_t, std::span<std::byte* const>,
+              std::span<const std::size_t>) const override {
+    return false;
+  }
+  ec::EncodePlan encode_plan(std::size_t,
+                             const simmem::ComputeCost&) const override {
+    return {};
+  }
+  ec::EncodePlan decode_plan(std::size_t, const simmem::ComputeCost&,
+                             std::span<const std::size_t>) const override {
+    return {};
+  }
+
+ private:
+  std::size_t k_;
+  std::size_t m_;
+};
 
 class ShardStoreTest : public ::testing::Test {
  protected:
@@ -45,6 +84,28 @@ class ShardStoreTest : public ::testing::Test {
     in.seekg(0);
     in.read(v.data(), static_cast<std::streamsize>(v.size()));
     return v;
+  }
+
+  /// `a` and `b` hold one generation byte for byte: `files` files
+  /// each (shards + manifest), the same names and contents, and no
+  /// temp file left behind by the durable-write protocol.
+  void expect_same_generation(const fs::path& a, const fs::path& b,
+                              std::size_t files) {
+    for (const fs::path& d : {a, b}) {
+      std::size_t n = 0;
+      for (const auto& e : fs::directory_iterator(d)) {
+        ++n;
+        EXPECT_EQ(e.path().filename().string().find(".tmp-"),
+                  std::string::npos)
+            << e.path();
+      }
+      EXPECT_EQ(n, files) << d;
+    }
+    for (const auto& e : fs::directory_iterator(a)) {
+      const fs::path other = b / e.path().filename();
+      ASSERT_TRUE(fs::exists(other)) << other;
+      EXPECT_EQ(slurp(e.path()), slurp(other)) << other;
+    }
   }
 
   void corrupt_shard(std::size_t index, std::size_t offset) {
@@ -244,17 +305,124 @@ TEST_F(ShardStoreTest, BackendsEmitBitIdenticalShardsAndNoTempFiles) {
   ASSERT_TRUE(uring_store.encode_file(input, dir_ / "uring"));
   ASSERT_TRUE(uring_store.decode_file(dir_ / "uring", dir_ / "out_u.bin"));
   EXPECT_EQ(slurp(input), slurp(dir_ / "out_u.bin"));
+  expect_same_generation(dir_ / "stdio", dir_ / "uring", 4 + 2 + 1);
+}
 
-  // The two shard directories must be byte-for-byte identical, and the
-  // durable-write protocol must leave no temp files behind.
-  std::size_t files = 0;
-  for (const auto& e : fs::directory_iterator(dir_ / "stdio")) {
-    ++files;
-    const auto name = e.path().filename();
-    EXPECT_EQ(slurp(e.path()), slurp(dir_ / "uring" / name)) << name;
-    EXPECT_EQ(name.string().find(".tmp-"), std::string::npos) << name;
+// The service-attached file datapath, which eccli runs by default: the
+// stdio and uring backends write the serial store's generation byte
+// for byte; the service completes every stripe (the scatter read
+// dispatches each one as its blocks land) with no serial fallback; and
+// healthy and one-data-shard-lost decodes are bit-exact on each
+// backend.
+TEST_F(ShardStoreTest, ServiceAttachedBackendsMatchTheSerialStore) {
+  constexpr std::size_t k = 8, m = 3, bs = 64 * 1024;
+  constexpr std::size_t stripes = 9;  // 8 full + a partial tail
+  const ec::IsalCodec codec(k, m);
+  const fs::path input = write_input(8 * k * bs + 5 * bs + 777, 12);
+  const auto original = slurp(input);
+  ASSERT_TRUE(ShardStore(codec, bs).encode_file(input, dir_ / "serial"));
+
+  svc::StripeService service;
+  auto run = [&](aio::Mode mode, const std::string& name) {
+    SCOPED_TRACE(name);
+    ShardStore store(codec, bs);
+    store.use_service(&service);
+    store.set_aio_mode(mode);
+    const fs::path shards = dir_ / name;
+    const std::uint64_t fallbacks = CounterValue(kSerialFallbacks);
+
+    std::uint64_t completed = service.stats().completed_ok;
+    ASSERT_TRUE(store.encode_file(input, shards));
+    EXPECT_EQ(service.stats().completed_ok - completed, stripes);
+    expect_same_generation(dir_ / "serial", shards, k + m + 1);
+
+    ASSERT_TRUE(store.decode_file(shards, dir_ / (name + ".out")));
+    EXPECT_EQ(slurp(dir_ / (name + ".out")), original);
+    fs::remove(shards / "shard_002");
+    completed = service.stats().completed_ok;
+    ASSERT_TRUE(store.decode_file(shards, dir_ / (name + ".degraded")));
+    EXPECT_EQ(slurp(dir_ / (name + ".degraded")), original);
+    EXPECT_EQ(service.stats().completed_ok - completed, stripes);
+    EXPECT_EQ(CounterValue(kSerialFallbacks), fallbacks);
+  };
+  run(aio::Mode::kStdio, "stdio");
+  if (!aio::Ring::KernelSupported()) {
+    GTEST_SKIP() << "io_uring unavailable: stdio half only";
   }
-  EXPECT_EQ(files, 4 + 2 + 1u);  // k + m shards + manifest
+  run(aio::Mode::kUring, "uring");
+}
+
+// With every admission refused, the default policy runs each rejected
+// stripe on the serial codec: encode and a degraded decode stay
+// bit-exact, one fallback per stripe each.
+TEST_F(ShardStoreTest, RejectedStripesFallBackToTheSerialCodec) {
+  constexpr std::size_t stripes = 3;
+  const ec::IsalCodec codec(4, 2);
+  const fs::path input = write_input(2 * 4 * 1024 + 1000, 13);
+  svc::StripeService service;
+  ShardStore store(codec, 1024);
+  store.use_service(&service);
+  fault::SitePlan plan;
+  plan.probability = 1.0;
+  const fault::ScopedPlan scoped("svc.admission", plan);
+
+  std::uint64_t fallbacks = CounterValue(kSerialFallbacks);
+  ASSERT_TRUE(store.encode_file(input, dir_ / "shards"));
+  EXPECT_EQ(CounterValue(kSerialFallbacks) - fallbacks, stripes);
+  fs::remove(dir_ / "shards" / "shard_001");
+  fallbacks = CounterValue(kSerialFallbacks);
+  ASSERT_TRUE(store.decode_file(dir_ / "shards", dir_ / "out.bin"));
+  EXPECT_EQ(CounterValue(kSerialFallbacks) - fallbacks, stripes);
+  EXPECT_EQ(slurp(dir_ / "out.bin"), slurp(input));
+}
+
+// A strict budget (no serial fallback) surfaces kRetryExhausted — what
+// eccli's exit 4 reports — after exactly its resubmissions, and the
+// failed re-encode leaves the previous generation as it was.
+TEST_F(ShardStoreTest, StrictBudgetSurfacesRetryExhaustion) {
+  const ec::IsalCodec codec(4, 2);
+  ShardStore store(codec, 1024);
+  ASSERT_TRUE(store.encode_file(write_input(9000, 14), dir_ / "shards"));
+  fs::copy(dir_ / "shards", dir_ / "before");
+
+  svc::StripeService service;
+  store.use_service(&service);
+  ServicePolicy policy;
+  policy.retry.max_retries = 2;
+  policy.serial_fallback = false;
+  store.set_service_policy(policy);
+  fault::SitePlan plan;
+  plan.probability = 1.0;
+  const fault::ScopedPlan scoped("svc.admission", plan);
+
+  const std::uint64_t resubmits = CounterValue(kResubmits);
+  const Status st = store.encode_file(write_input(12000, 15), dir_ / "shards");
+  EXPECT_EQ(st.kind, Status::Kind::kRetryExhausted) << st.message();
+  EXPECT_EQ(CounterValue(kResubmits) - resubmits, 2u);
+  expect_same_generation(dir_ / "before", dir_ / "shards", 4 + 2 + 1);
+}
+
+// encode_file refuses every geometry Manifest::parse rejects before it
+// reads or writes anything: the generation could never be read back.
+TEST_F(ShardStoreTest, EncodeRefusesGeometriesTheManifestRejects) {
+  const fs::path input = write_input(5000, 16);
+  const struct {
+    std::size_t k, m, block;
+  } bad[] = {{0, 2, 1024},
+             {4, 0, 1024},
+             {4000, 97, 1024},
+             {4, 2, 0},
+             {4, 2, (std::size_t{1} << 30) + 1}};
+  for (const auto& g : bad) {
+    SCOPED_TRACE("k=" + std::to_string(g.k) + " m=" + std::to_string(g.m) +
+                 " block=" + std::to_string(g.block));
+    const GeometryOnlyCodec codec(g.k, g.m);
+    const Status st =
+        ShardStore(codec, g.block).encode_file(input, dir_ / "shards");
+    EXPECT_EQ(st.kind, Status::Kind::kIoError);
+    EXPECT_EQ(st.error, EINVAL);
+    EXPECT_FALSE(fs::exists(dir_ / "shards"));
+  }
 }
 
 TEST_F(ShardStoreTest, FailedReencodePreservesThePreviousGeneration) {

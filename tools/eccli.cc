@@ -24,17 +24,22 @@
 // 6 corruption detected and healed in place (verify --heal).
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "aio/datapath.h"
 #include "cli/eccli_usage.h"
 #include "cluster/local_cluster.h"
 #include "dialga/dialga.h"
 #include "fault/injector.h"
+#include "gf/gf256.h"
 #include "gf/gf_simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -83,12 +88,29 @@ struct Options {
   std::vector<std::string> positional;
 };
 
+/// Full-string parse of a numeric flag's value: a whole unsigned
+/// decimal with no sign, whitespace or trailing characters that fits
+/// in std::size_t; nullopt otherwise.
+std::optional<std::size_t> ParseCount(std::string_view text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
 bool Parse(int argc, char** argv, Options* opt) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_value = [&](std::size_t* out) {
       if (i + 1 >= argc) return false;
-      *out = static_cast<std::size_t>(std::stoull(argv[++i]));
+      const std::optional<std::size_t> value = ParseCount(argv[++i]);
+      if (!value) {
+        std::cerr << "eccli: " << arg << " '" << argv[i]
+                  << "' is not an unsigned 64-bit decimal integer\n";
+        return false;
+      }
+      *out = *value;
       return true;
     };
     if (arg == "--k") {
@@ -145,6 +167,18 @@ bool Parse(int argc, char** argv, Options* opt) {
     }
   }
   return true;
+}
+
+/// The geometry every codec and the shard manifest accept: k and m of
+/// at least 1, k + m within GF(2^8) (the codecs bound it only by an
+/// assert, which Release builds compile out), and a block of 1 B to
+/// 1 GiB. Checked before anything is written, so a bad value never
+/// leaves a generation this tool's own decode rejects.
+bool ValidGeometry(const Options& opt) {
+  constexpr std::size_t kMaxBlock = std::size_t{1} << 30;
+  return opt.k >= 1 && opt.m >= 1 && opt.k <= gf::kFieldSize &&
+         opt.m <= gf::kFieldSize - opt.k && opt.block >= 1 &&
+         opt.block <= kMaxBlock;
 }
 
 /// The manifest pins (k, m); commands other than encode read it so the
@@ -573,6 +607,13 @@ int main(int argc, char** argv) {
   if (opt.help) {  // `eccli <cmd> --help` is help, not the command
     PrintHelp(std::cout);
     return kExitOk;
+  }
+  if (!ValidGeometry(opt)) {
+    std::cerr << "eccli: invalid geometry k=" << opt.k << " m=" << opt.m
+              << " block=" << opt.block
+              << " (need k, m >= 1, k + m <= " << gf::kFieldSize
+              << ", 1 <= block <= 1073741824)\n";
+    return kExitUsage;
   }
   // `eccli --fault-plan-dump [...]` works without a subcommand.
   if (cmd == "--fault-plan-dump") opt.fault_plan_dump = true;
