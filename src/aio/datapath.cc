@@ -27,7 +27,6 @@ constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
 constexpr unsigned kRingEntries = 128;
 /// Transient (EINTR/EAGAIN) resubmits per operation before giving up.
 constexpr int kTransientBudget = 1024;
-constexpr std::uint64_t kFsyncUserData = ~std::uint64_t{0};
 
 int FireSite(const char* site) {
   return site != nullptr ? fault::FireErrno(site) : 0;
@@ -249,26 +248,17 @@ IoStatus PwriteAll(int fd, const std::byte* buf, std::size_t len,
   return IoStatus::Ok();
 }
 
-/// Write every sub-op through the ring. The final write is linked
-/// (IOSQE_IO_LINK) to an fsync SQE, so on the happy path data and
-/// metadata ordering is resolved entirely inside the kernel; any
-/// wrinkle (short write, cancelled link) falls back to fsync(2), which
-/// the caller issues when *synced stays false.
+/// Write every sub-op through the ring, resubmitting transient errors
+/// and finishing short writes where they stopped.
 IoStatus WriteSegsFdUring(Transfer& xfer, Ring* ring, int fd,
-                          std::vector<SubOp> subs, bool* synced) {
-  *synced = false;
-  if (subs.empty()) return IoStatus::Ok();
-  std::vector<std::size_t> pending(subs.size() - 1);
-  for (std::size_t i = 0; i + 1 < subs.size(); ++i) pending[i] = i;
-  const std::size_t last = subs.size() - 1;
-  bool last_queued = false;
-  bool fsync_ok = false;
-  bool link_intact = true;  // no retry/short-write leaked past the fsync
+                          std::vector<SubOp> subs) {
+  std::vector<std::size_t> pending(subs.size());
+  for (std::size_t i = 0; i < subs.size(); ++i) pending[i] = i;
   std::size_t outstanding = 0;
   int budget = kTransientBudget;
   std::vector<Completion> cqes;
 
-  while (!pending.empty() || !last_queued || outstanding > 0) {
+  while (!pending.empty() || outstanding > 0) {
     while (!pending.empty() && ring->sq_space() > 0) {
       const std::size_t idx = pending.back();
       const SubOp& s = subs[idx];
@@ -276,18 +266,6 @@ IoStatus WriteSegsFdUring(Transfer& xfer, Ring* ring, int fd,
                         xfer.buf_index_for(s.buf, s.len));
       pending.pop_back();
       ++outstanding;
-    }
-    // The link orders only the pair, so the chain is queued after
-    // every other write has *completed* — at that point the fsync's
-    // turn implies all data hit the file before it ran.
-    if (pending.empty() && outstanding == 0 && !last_queued &&
-        ring->sq_space() >= 2) {
-      const SubOp& s = subs[last];
-      ring->queue_write(fd, s.buf, static_cast<unsigned>(s.len), s.off, last,
-                        xfer.buf_index_for(s.buf, s.len), /*link=*/true);
-      ring->queue_fsync(fd, kFsyncUserData);
-      last_queued = true;
-      outstanding += 2;
     }
     if (int rc = ring->submit(); rc < 0) {
       if ((rc == -EINTR || rc == -EAGAIN) && --budget >= 0) continue;
@@ -302,18 +280,11 @@ IoStatus WriteSegsFdUring(Transfer& xfer, Ring* ring, int fd,
     }
     for (const Completion& c : cqes) {
       --outstanding;
-      if (c.user_data == kFsyncUserData) {
-        // -ECANCELED (broken link) or a real fsync error: retried as
-        // fsync(2) by the caller. Success means ordering held.
-        fsync_ok = c.res == 0;
-        continue;
-      }
       SubOp& s = subs[c.user_data];
       if (c.res < 0) {
         const int e = -c.res;
-        if ((e == EINTR || e == EAGAIN || e == ECANCELED) && --budget >= 0) {
+        if ((e == EINTR || e == EAGAIN) && --budget >= 0) {
           pending.push_back(static_cast<std::size_t>(c.user_data));
-          if (last_queued) link_intact = false;
           continue;
         }
         DrainRing(ring);
@@ -325,11 +296,9 @@ IoStatus WriteSegsFdUring(Transfer& xfer, Ring* ring, int fd,
         s.len -= put;
         s.off += put;
         pending.push_back(static_cast<std::size_t>(c.user_data));
-        if (last_queued) link_intact = false;  // remainder lands post-fsync
       }
     }
   }
-  *synced = fsync_ok && link_intact;
   return IoStatus::Ok();
 }
 
@@ -343,81 +312,59 @@ fs::path TmpPathFor(const fs::path& path) {
                 std::to_string(g_tmp_seq.fetch_add(1)));
 }
 
-IoStatus SyncParentDir(const fs::path& path) {
-  fs::path dir = path.parent_path();
-  if (dir.empty()) dir = ".";
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd < 0) return IoStatus::Error(errno, "cannot open parent directory");
-  if (::fsync(dfd) < 0) {
+/// open(path, flags) and fsync it; `what` names it in the error.
+IoStatus OpenAndFsync(const fs::path& path, int flags, const char* what) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) return IoStatus::Error(errno, std::string("cannot open ") + what);
+  if (::fsync(fd) < 0) {
     const int e = errno;
-    ::close(dfd);
-    return IoStatus::Error(e, "cannot fsync parent directory");
+    ::close(fd);
+    return IoStatus::Error(e, std::string("cannot fsync ") + what);
   }
-  ::close(dfd);
+  ::close(fd);
   return IoStatus::Ok();
 }
 
-IoStatus WriteDurableImpl(Transfer& xfer, const fs::path& path,
-                          std::span<const Seg> segs, const FaultSites& sites,
-                          bool sync_parent) {
+IoStatus SyncParentDir(const fs::path& path) {
+  fs::path dir = path.parent_path();
+  if (dir.empty()) dir = ".";
+  return OpenAndFsync(dir, O_RDONLY | O_DIRECTORY, "parent directory");
+}
+
+/// Size the fresh temp behind `fd`, write `segs` into it, and start
+/// its write-back so the device works on this file while later files
+/// of the group are written.
+IoStatus FillTemp(Transfer& xfer, int fd, std::span<const Seg> segs) {
   std::uint64_t total = 0;
   std::uint64_t payload = 0;
   for (const Seg& s : segs) {
     total = std::max(total, s.offset + s.len);
     payload += s.len;
   }
-  const fs::path tmp = TmpPathFor(path);
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
-                  0644);
-  if (fd < 0) return IoStatus::Error(errno, "cannot create temp file");
-  auto fail = [&](IoStatus st) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return st;
-  };
   // Pre-size the file: gaps between segments (none in practice) read
   // as zero, and the final length is right even for an empty gather.
   if (::ftruncate(fd, static_cast<::off_t>(total)) < 0) {
-    return fail(IoStatus::Error(errno, "cannot size temp file"));
+    return IoStatus::Error(errno, "cannot size temp file");
   }
-
-  bool synced = false;
   Ring* ring = xfer.backend() == Backend::kUring ? xfer.ring() : nullptr;
   if (ring != nullptr) {
-    if (IoStatus st =
-            WriteSegsFdUring(xfer, ring, fd, ChunkSegs(segs), &synced);
+    if (IoStatus st = WriteSegsFdUring(xfer, ring, fd, ChunkSegs(segs));
         !st.ok()) {
-      return fail(st);
+      return st;
     }
   } else {
     for (const Seg& s : segs) {
       if (IoStatus st = PwriteAll(fd, s.buf, s.len, s.offset); !st.ok()) {
-        return fail(st);
+        return st;
       }
     }
   }
   DpMetrics::Get().bytes(xfer.backend(), true).inc(payload);
   DpMetrics::Get().ops_write.inc();
-
-  // The injected failure lands before durability is declared, so a
-  // fired site aborts with the target file untouched — exactly the
-  // crash the temp→rename protocol is there to survive.
-  if (const int fe = FireSite(sites.write); fe != 0) {
-    return fail(IoStatus::Error(fe, "write failed"));
-  }
-  if (!synced && ::fsync(fd) < 0) {
-    return fail(IoStatus::Error(errno, "fsync failed"));
-  }
-  ::close(fd);
-  fd = -1;
-  if (::rename(tmp.c_str(), path.c_str()) < 0) {
-    const int e = errno;
-    ::unlink(tmp.c_str());
-    return IoStatus::Error(e, "rename failed");
-  }
-  if (sync_parent) {
-    if (IoStatus st = SyncParentDir(path); !st.ok()) return st;
-  }
+#if defined(__linux__)
+  // A hint only: fsync decides durability, so its error is ignored.
+  (void)::sync_file_range(fd, 0, 0, SYNC_FILE_RANGE_WRITE);
+#endif
   return IoStatus::Ok();
 }
 
@@ -620,20 +567,99 @@ IoStatus ReadScatter(Transfer& xfer, const fs::path& path,
   return r;
 }
 
+IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
+                           const FaultSites& sites, bool sync_parent,
+                           std::size_t* failed) {
+  std::vector<fs::path> temps;  // created so far, in file order
+  temps.reserve(files.size());
+  auto fail = [&](std::size_t i, IoStatus st) {
+    for (const fs::path& t : temps) ::unlink(t.c_str());
+    if (failed != nullptr) *failed = i;
+    return st;
+  };
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    fs::path tmp = TmpPathFor(files[i].path);
+    const int fd =
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    if (fd < 0) {
+      return fail(i, IoStatus::Error(errno, "cannot create temp file"));
+    }
+    temps.push_back(std::move(tmp));
+    const IoStatus st = FillTemp(xfer, fd, files[i].segs);
+    ::close(fd);
+    if (!st.ok()) return fail(i, st);
+    // The injected failure lands before durability is declared, so a
+    // fired site aborts with every target untouched — exactly the
+    // crash the temp→rename protocol is there to survive.
+    if (const int fe = FireSite(sites.write); fe != 0) {
+      return fail(i, IoStatus::Error(fe, "write failed"));
+    }
+  }
+  // No temp is renamed until every temp of the group is durable. The
+  // reopened descriptor is as good as the first: fsync flushes the
+  // inode, and Linux reports a write-back error that no descriptor has
+  // seen yet to a newly opened one.
+  for (std::size_t i = 0; i < temps.size(); ++i) {
+    if (IoStatus st = OpenAndFsync(temps[i], O_WRONLY, "temp file");
+        !st.ok()) {
+      return fail(i, st);
+    }
+  }
+  for (std::size_t i = 0; i < temps.size(); ++i) {
+    if (::rename(temps[i].c_str(), files[i].path.c_str()) < 0) {
+      const int e = errno;
+      for (std::size_t j = i; j < temps.size(); ++j) {
+        ::unlink(temps[j].c_str());
+      }
+      if (failed != nullptr) *failed = i;
+      return IoStatus::Error(e, "rename failed");
+    }
+  }
+  if (sync_parent) {
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      const fs::path dir = files[i].path.parent_path();
+      if (i > 0 && dir == files[i - 1].path.parent_path()) continue;
+      if (IoStatus st = SyncParentDir(files[i].path); !st.ok()) {
+        if (failed != nullptr) *failed = i;
+        return st;
+      }
+    }
+  }
+  return IoStatus::Ok();
+}
+
 IoStatus WriteFileDurable(Transfer& xfer, const fs::path& path,
                           std::span<const std::byte> data,
                           const FaultSites& sites, bool sync_parent) {
   const Seg seg{const_cast<std::byte*>(data.data()), data.size(), 0};
-  return WriteDurableImpl(xfer, path,
-                          data.empty() ? std::span<const Seg>{}
-                                       : std::span<const Seg>(&seg, 1),
-                          sites, sync_parent);
+  return WriteGatherDurable(xfer, path,
+                            data.empty() ? std::span<const Seg>{}
+                                         : std::span<const Seg>(&seg, 1),
+                            sites, sync_parent);
 }
 
 IoStatus WriteGatherDurable(Transfer& xfer, const fs::path& path,
                             std::span<const Seg> segs,
                             const FaultSites& sites, bool sync_parent) {
-  return WriteDurableImpl(xfer, path, segs, sites, sync_parent);
+  const DurableFile file{path, segs};
+  return WriteFilesDurable(xfer, std::span<const DurableFile>(&file, 1), sites,
+                           sync_parent);
+}
+
+IoStatus CreateDirectoriesDurable(const fs::path& dir) {
+  std::vector<fs::path> missing;  // levels to create, deepest first
+  std::error_code ec;
+  for (fs::path p = dir; !p.empty() && !fs::exists(p, ec);
+       p = p.parent_path()) {
+    missing.push_back(p);
+    if (p == p.parent_path()) break;  // a missing root: nothing above it
+  }
+  fs::create_directories(dir, ec);
+  if (ec) return IoStatus::Error(ec.value(), "cannot create directory");
+  for (const fs::path& p : missing) {
+    if (IoStatus st = SyncParentDir(p); !st.ok()) return st;
+  }
+  return IoStatus::Ok();
 }
 
 }  // namespace aio

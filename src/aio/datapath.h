@@ -3,7 +3,7 @@
 //
 //   uring   io_uring (aio/ring.h): chunked reads/writes pipelined at
 //           ring depth, registered (pinned) buffers when the caller
-//           supplies them, write→fsync linked-SQE chains
+//           supplies them
 //   stdio   plain POSIX pread/pwrite bounded loops — the portable
 //           fallback, and the reference the uring path is differential-
 //           tested against
@@ -21,7 +21,9 @@
 //     failing syscall, not a stale iostream guess;
 //   * durable writes go temp file → fsync → rename → (optionally)
 //     fsync parent directory, so a crash leaves the old file or the
-//     new file, never a torn one.
+//     new file, never a torn one. A group of files commits in one
+//     flush round (WriteFilesDurable): every temp is written and fsynced
+//     before the first rename.
 //
 // Fault injection: callers name their sites via FaultSites (the shard
 // store passes shard.open/shard.read/shard.short_read/shard.write so
@@ -141,21 +143,51 @@ IoStatus ReadScatter(Transfer& xfer, const std::filesystem::path& path,
                      std::span<const Seg> segs, const FaultSites& sites = {},
                      const std::function<void(std::size_t)>& on_segment = {});
 
-/// Durable whole-file write: temp → write → fsync → rename(temp, path)
-/// → fsync parent dir (when sync_parent). On any failure the temp file
-/// is removed and `path` is untouched.
+/// One file of a durable group: its final path and its content as a
+/// seg list (file length = max(offset+len); uncovered ranges are
+/// zero). Zero-copy from the caller's (registered) buffers.
+struct DurableFile {
+  std::filesystem::path path;
+  std::span<const Seg> segs;
+};
+
+/// Group commit, in file order:
+///   1. each file: create a temp beside it (O_EXCL), write it, start
+///      its write-back (sync_file_range, a hint whose error is
+///      ignored), consult sites.write, close it;
+///   2. reopen and fsync every temp;
+///   3. rename every temp into place;
+///   4. when sync_parent, fsync each parent directory once.
+/// At most one descriptor per group is open at a time, so a group may
+/// hold more files than the descriptor limit.
+/// A failed create, write or fsync (or a fired write site) unlinks
+/// every temp of the group: no target changes. A failed rename keeps
+/// the files renamed before it and unlinks the temps after it.
+/// `*failed`, when given, receives the index of the file whose step
+/// failed.
+IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
+                           const FaultSites& sites = {},
+                           bool sync_parent = true,
+                           std::size_t* failed = nullptr);
+
+/// Durable whole-file write: WriteFilesDurable of this one file. On any
+/// failure the temp file is removed and `path` is untouched.
 IoStatus WriteFileDurable(Transfer& xfer, const std::filesystem::path& path,
                           std::span<const std::byte> data,
                           const FaultSites& sites = {},
                           bool sync_parent = true);
 
-/// Durable gather-write: like WriteFileDurable but the content is the
-/// seg list (file length = max(offset+len); uncovered ranges are
-/// zero). Zero-copy from the caller's (registered) buffers.
+/// Durable gather-write: WriteFilesDurable of one file whose content
+/// is the seg list.
 IoStatus WriteGatherDurable(Transfer& xfer,
                             const std::filesystem::path& path,
                             std::span<const Seg> segs,
                             const FaultSites& sites = {},
                             bool sync_parent = true);
+
+/// create_directories(dir), then fsync the parent of every level it
+/// created, so a new directory's entry survives a crash. A directory
+/// that already exists costs no fsync.
+IoStatus CreateDirectoriesDurable(const std::filesystem::path& dir);
 
 }  // namespace aio

@@ -191,7 +191,7 @@ io_uring_sqe* Ring::next_sqe() {
 }
 
 bool Ring::queue_read(int fd, void* buf, unsigned len, std::uint64_t off,
-                      std::uint64_t user_data, int buf_index, bool link) {
+                      std::uint64_t user_data, int buf_index) {
   io_uring_sqe* sqe = next_sqe();
   if (sqe == nullptr) return false;
   const bool fixed = buf_index >= 0 && buffers_registered_;
@@ -201,14 +201,13 @@ bool Ring::queue_read(int fd, void* buf, unsigned len, std::uint64_t off,
   sqe->len = len;
   sqe->off = off;
   if (fixed) sqe->buf_index = static_cast<std::uint16_t>(buf_index);
-  if (link) sqe->flags |= IOSQE_IO_LINK;
   sqe->user_data = user_data;
   return true;
 }
 
 bool Ring::queue_write(int fd, const void* buf, unsigned len,
                        std::uint64_t off, std::uint64_t user_data,
-                       int buf_index, bool link) {
+                       int buf_index) {
   io_uring_sqe* sqe = next_sqe();
   if (sqe == nullptr) return false;
   const bool fixed = buf_index >= 0 && buffers_registered_;
@@ -218,16 +217,6 @@ bool Ring::queue_write(int fd, const void* buf, unsigned len,
   sqe->len = len;
   sqe->off = off;
   if (fixed) sqe->buf_index = static_cast<std::uint16_t>(buf_index);
-  if (link) sqe->flags |= IOSQE_IO_LINK;
-  sqe->user_data = user_data;
-  return true;
-}
-
-bool Ring::queue_fsync(int fd, std::uint64_t user_data) {
-  io_uring_sqe* sqe = next_sqe();
-  if (sqe == nullptr) return false;
-  sqe->opcode = IORING_OP_FSYNC;
-  sqe->fd = fd;
   sqe->user_data = user_data;
   return true;
 }
@@ -298,14 +287,13 @@ bool Ring::register_buffers(const iovec*, unsigned) { return false; }
 unsigned Ring::sq_space() const { return 0; }
 struct io_uring_sqe* Ring::next_sqe() { return nullptr; }
 bool Ring::queue_read(int, void*, unsigned, std::uint64_t, std::uint64_t,
-                      int, bool) {
+                      int) {
   return false;
 }
 bool Ring::queue_write(int, const void*, unsigned, std::uint64_t,
-                       std::uint64_t, int, bool) {
+                       std::uint64_t, int) {
   return false;
 }
-bool Ring::queue_fsync(int, std::uint64_t) { return false; }
 int Ring::submit() { return -ENOSYS; }
 void Ring::drop_unsubmitted() {}
 int Ring::wait(unsigned, std::vector<Completion>*) { return -ENOSYS; }

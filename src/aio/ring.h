@@ -1,11 +1,11 @@
 // aio::Ring — a minimal raw-syscall io_uring wrapper (no liburing
 // dependency): one submission queue + completion queue pair mmap'd
 // from the kernel, with registered-buffer support for zero-copy fixed
-// reads/writes and IOSQE_IO_LINK chains (the write→fsync ordering the
-// durable shard writes use).
+// reads/writes.
 //
 // Scope is deliberately the shard datapath's needs, not a general
-// liburing clone: pread/pwrite/fsync opcodes, single-threaded use (one
+// liburing clone: pread/pwrite opcodes (durable writes fsync with
+// fsync(2), see aio/datapath.h), single-threaded use (one
 // Ring per file operation; callers that want concurrency create one
 // ring per worker), synchronous submit/wait.
 //
@@ -65,15 +65,10 @@ class Ring {
 
   /// Queue one operation. `buf_index >= 0` selects the registered
   /// buffer containing [buf, buf+len) and issues the fixed variant.
-  /// `link` sets IOSQE_IO_LINK: the *next* queued op starts only if
-  /// this one fully succeeds (it sees -ECANCELED otherwise).
   bool queue_read(int fd, void* buf, unsigned len, std::uint64_t off,
-                  std::uint64_t user_data, int buf_index = -1,
-                  bool link = false);
+                  std::uint64_t user_data, int buf_index = -1);
   bool queue_write(int fd, const void* buf, unsigned len, std::uint64_t off,
-                   std::uint64_t user_data, int buf_index = -1,
-                   bool link = false);
-  bool queue_fsync(int fd, std::uint64_t user_data);
+                   std::uint64_t user_data, int buf_index = -1);
 
   /// Submit everything queued. Returns the number accepted by the
   /// kernel, or -errno (including the injected `aio.submit` errno).

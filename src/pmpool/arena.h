@@ -3,11 +3,13 @@
 // io_uring backend pin the slabs as registered buffers (zero-copy
 // READ_FIXED/WRITE_FIXED straight into the encode kernels' working
 // set), and what a real PM-backed pool would hand out anyway (PM maps
-// are page-granular). The arena owns every slab until it is destroyed
-// or reset, so spans handed to in-flight I/O stay valid for the whole
-// operation.
+// are page-granular). The arena owns every slab until it is destroyed,
+// so spans handed to in-flight I/O stay valid for the whole
+// operation. recycle() hands the same slabs out again, zeroed, so a
+// caller that keeps its arena between operations maps and faults its
+// pages once.
 //
-// Not thread-safe: one arena per file-level operation.
+// Not thread-safe: one file-level operation at a time.
 #pragma once
 
 #include <sys/uio.h>
@@ -32,11 +34,14 @@ class Arena {
   /// alignment internally; the returned span is exactly `n` long).
   std::span<std::byte> allocate(std::size_t n);
 
-  /// Drop every slab (spans from before reset dangle).
-  void reset();
+  /// Whether the arena holds exactly `count` slabs, each the size
+  /// allocate(n) makes: the set recycle(n) can hand out again.
+  bool holds(std::size_t count, std::size_t n) const;
 
-  std::size_t slabs() const { return slabs_.size(); }
-  std::size_t bytes() const { return bytes_; }
+  /// Every slab again, zeroed, as spans of `n` bytes in allocation
+  /// order: allocate()'s contract without new memory. Every slab must
+  /// be the size allocate(n) makes (holds() checks it).
+  std::vector<std::span<std::byte>> recycle(std::size_t n);
 
   /// One iovec per slab, in allocation order — the list handed to
   /// Ring::register_buffers. Slab i's buffer index is i.
@@ -47,8 +52,11 @@ class Arena {
     void operator()(std::byte* p) const;
   };
 
+  /// Bytes allocate(n) reserves: n rounded up to the alignment, and a
+  /// zero-length request as one alignment unit.
+  std::size_t padded(std::size_t n) const;
+
   std::size_t alignment_;
-  std::size_t bytes_ = 0;
   std::vector<std::unique_ptr<std::byte[], FreeDeleter>> slabs_;
   std::vector<iovec> iovecs_;
 };

@@ -256,6 +256,48 @@ aio::IoStatus RetryTransient(const ServicePolicy& policy,
 ShardStore::ShardStore(const ec::Codec& codec, std::size_t block_size)
     : codec_(codec), block_size_(block_size) {}
 
+ShardStore::~ShardStore() = default;
+
+/// Takes the store's spare set when it holds `count` slabs of `bytes`
+/// (Arena::recycle re-zeroes them: encode's partial last stripe relies
+/// on the zero fill for padding) and allocates a fresh set otherwise.
+/// The set becomes the store's spare when the call ends. Declare it
+/// before the call's Transfer, whose ring pins the slabs, and before
+/// any future that still writes into them.
+class ShardStore::Buffers {
+ public:
+  Buffers(const ShardStore& store, std::size_t count, std::size_t bytes)
+      : store_(store) {
+    {
+      const std::lock_guard lock(store.spare_mu_);
+      arena_ = std::move(store.spare_);
+    }
+    if (arena_ != nullptr && arena_->holds(count, bytes)) {
+      shards = arena_->recycle(bytes);
+      return;
+    }
+    arena_ = std::make_unique<pmpool::Arena>();
+    shards.reserve(count);
+    for (std::size_t s = 0; s < count; ++s) {
+      shards.push_back(arena_->allocate(bytes));
+    }
+  }
+  ~Buffers() {
+    const std::lock_guard lock(store_.spare_mu_);
+    store_.spare_ = std::move(arena_);
+  }
+  Buffers(const Buffers&) = delete;
+  Buffers& operator=(const Buffers&) = delete;
+
+  const std::vector<iovec>& iovecs() const { return arena_->iovecs(); }
+
+  std::vector<std::span<std::byte>> shards;
+
+ private:
+  const ShardStore& store_;
+  std::unique_ptr<pmpool::Arena> arena_;
+};
+
 bool ShardStore::read_file_retrying(const fs::path& path,
                                     std::vector<std::byte>* out, int* err,
                                     std::string* detail) const {
@@ -470,21 +512,16 @@ Status ShardStore::encode_file(const fs::path& input,
   const std::size_t shard_bytes = stripes * block_size_;
 
   // Shard s holds: for every stripe r, block s of that stripe. The
-  // arena slabs are zeroed, page-aligned, and (on the uring backend)
-  // pinned as registered buffers — input blocks scatter-read straight
-  // into shard layout, so the old whole-file staging vector and its
-  // per-stripe std::copy are gone.
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  shards.reserve(k + m);
-  for (std::size_t s = 0; s < k + m; ++s) {
-    shards.push_back(arena.allocate(shard_bytes));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
+  // slabs are zeroed, page-aligned, and (on the uring backend) pinned
+  // as registered buffers — input blocks scatter-read straight into
+  // shard layout, with no whole-file staging copy.
+  Buffers bufs(*this, k + m, shard_bytes);
+  const std::vector<std::span<std::byte>>& shards = bufs.shards;
+  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
 
   // Scatter plan: block (r, i) of the input lands at stripe offset r
   // of data shard i; the zero padding of a partial tail block is the
-  // arena's zero fill.
+  // slabs' zero fill.
   std::vector<aio::Seg> segs;
   std::vector<std::size_t> seg_stripe;  // segment index -> stripe
   std::vector<std::size_t> blocks_left(stripes, 0);
@@ -519,7 +556,7 @@ Status ShardStore::encode_file(const fs::path& input,
         if (--blocks_left[seg_stripe[si]] == 0) dispatch(seg_stripe[si]);
       });
   if (!read_st.ok()) {
-    // Reap anything already dispatched before the arena goes away.
+    // Reap anything already dispatched before the buffers go back.
     for (auto& f : futures) {
       if (f.valid()) f.get();
     }
@@ -531,25 +568,30 @@ Status ShardStore::encode_file(const fs::path& input,
     return st;
   }
 
-  std::error_code dir_ec;
-  fs::create_directories(dir, dir_ec);
-  if (dir_ec) {
-    return Status::Io(dir_ec.value(), dir, "cannot create shard directory");
+  if (const auto st = aio::CreateDirectoriesDurable(dir); !st.ok()) {
+    return Status::Io(st.err, dir, "cannot create shard directory");
   }
-  // Durable commit protocol: every shard lands via temp → fsync →
-  // rename; the manifest goes last and carries the parent-directory
-  // fsync, so a crash anywhere leaves the old manifest (and old
-  // shards, each themselves whole) or the complete new generation —
-  // never a manifest naming torn shards.
+  // Durable commit protocol: the shards commit as one group — every
+  // temp written and fsynced before the first rename — and the
+  // manifest goes last with the directory fsync, so a crash anywhere
+  // leaves the old manifest (and old shards, each themselves whole) or
+  // the complete new generation, never a manifest naming torn shards.
+  std::vector<aio::Seg> shard_segs;
+  std::vector<aio::DurableFile> files;
+  shard_segs.reserve(k + m);
+  files.reserve(k + m);
   for (std::size_t s = 0; s < k + m; ++s) {
     mf.shard_checksums.push_back(
         integrity::Crc32c(shards[s].data(), shard_bytes));
-    const auto st = aio::WriteFileDurable(xfer, ShardPath(dir, s), shards[s],
-                                          kShardSites, /*sync_parent=*/false);
-    if (!st.ok()) {
-      return Status::Io(st.err, ShardPath(dir, s),
-                        st.detail.empty() ? "cannot write shard" : st.detail);
-    }
+    shard_segs.push_back({shards[s].data(), shard_bytes, 0});
+    files.push_back({ShardPath(dir, s), {&shard_segs.back(), 1}});
+  }
+  std::size_t failed = 0;
+  if (const auto st = aio::WriteFilesDurable(xfer, files, kShardSites,
+                                             /*sync_parent=*/false, &failed);
+      !st.ok()) {
+    return Status::Io(st.err, files[failed].path,
+                      st.detail.empty() ? "cannot write shard" : st.detail);
   }
   const std::string text = mf.serialize();
   const auto st = aio::WriteFileDurable(
@@ -611,12 +653,9 @@ void ShardStore::load_shards(aio::Transfer& xfer, const fs::path& dir,
 std::vector<std::size_t> ShardStore::verify(const fs::path& dir) const {
   const auto mf = load_manifest(dir);
   if (!mf) return {SIZE_MAX};  // unusable directory
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  for (std::size_t s = 0; s < mf->k + mf->m; ++s) {
-    shards.push_back(arena.allocate(mf->shard_bytes()));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
+  Buffers bufs(*this, mf->k + mf->m, mf->shard_bytes());
+  const std::vector<std::span<std::byte>>& shards = bufs.shards;
+  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
   std::vector<std::size_t> damaged;
   load_shards(xfer, dir, *mf, shards, &damaged);
   return damaged;
@@ -627,12 +666,9 @@ VerifyReport ShardStore::verify_detailed(const fs::path& dir) const {
   const auto mf = load_manifest(dir);
   if (!mf) return report;
   report.manifest_ok = true;
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  for (std::size_t s = 0; s < mf->k + mf->m; ++s) {
-    shards.push_back(arena.allocate(mf->shard_bytes()));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
+  Buffers bufs(*this, mf->k + mf->m, mf->shard_bytes());
+  const std::vector<std::span<std::byte>>& shards = bufs.shards;
+  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
   load_shards(xfer, dir, *mf, shards, &report.damaged, &report.states);
   for (std::size_t s = 0; s < report.states.size(); ++s) {
     if (report.states[s] == ShardState::kCorrupt) report.corrupt.push_back(s);
@@ -644,12 +680,9 @@ RepairReport ShardStore::repair(const fs::path& dir) const {
   RepairReport report;
   const auto mf = load_manifest(dir);
   if (!mf) return report;
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  for (std::size_t s = 0; s < mf->k + mf->m; ++s) {
-    shards.push_back(arena.allocate(mf->shard_bytes()));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
+  Buffers bufs(*this, mf->k + mf->m, mf->shard_bytes());
+  const std::vector<std::span<std::byte>>& shards = bufs.shards;
+  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
   std::vector<ShardState> states;
   load_shards(xfer, dir, *mf, shards, &report.damaged, &states);
   for (std::size_t s = 0; s < states.size(); ++s) {
@@ -692,12 +725,9 @@ Status ShardStore::decode_file(const fs::path& dir,
     return Status::Damaged(dir / "manifest.txt",
                            "corrupt or unsupported manifest");
   }
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  for (std::size_t s = 0; s < mf->k + mf->m; ++s) {
-    shards.push_back(arena.allocate(mf->shard_bytes()));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
+  Buffers bufs(*this, mf->k + mf->m, mf->shard_bytes());
+  const std::vector<std::span<std::byte>>& shards = bufs.shards;
+  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
   std::vector<std::size_t> damaged;
   load_shards(xfer, dir, *mf, shards, &damaged);
   if (damaged.size() > mf->m) {

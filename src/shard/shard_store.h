@@ -19,12 +19,26 @@
 // A manifest without both lines, or naming any other algorithm, fails
 // closed: it does not parse, and eccli reports it as corrupt or
 // unsupported.
+//
+// A generation reaches disk in one flush round: the k+m shards commit
+// as one group (aio::WriteFilesDurable — every shard temp is fsynced
+// before the first rename), then the manifest, whose write fsyncs the
+// directory.
+//
+// A store keeps the shard buffers of its last finished file call and
+// hands them, re-zeroed, to the next call with the same shard count
+// and size, so a long-lived store maps and faults its k+m shard
+// buffers once. An idle store therefore holds k+m x shard bytes until
+// it is destroyed. File calls may run concurrently on one store; a
+// call that finds the spare set taken allocates its own.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -144,6 +158,7 @@ class ShardStore {
  public:
   /// `codec` must outlive the store; its (k, m) defines the layout.
   ShardStore(const ec::Codec& codec, std::size_t block_size = 4096);
+  ~ShardStore();
 
   /// Route per-stripe encode/decode work through an embeddable stripe
   /// service (svc/stripe_service.h): stripes are submitted as batched
@@ -182,10 +197,13 @@ class ShardStore {
   void set_read_repair(bool on) { read_repair_ = on; }
   bool read_repair() const { return read_repair_; }
 
-  /// Encode `input` into `dir` (created if needed). kIoError with
-  /// errno + path on filesystem failure. A geometry Manifest::parse
-  /// rejects (k, m or block of 0, a block over 1 GiB, k + m over 4096)
-  /// is kIoError EINVAL before anything is read or written.
+  /// Encode `input` into `dir` (created if needed, with every level
+  /// it creates fsynced into its parent). kIoError with errno + path
+  /// on filesystem failure; a failure before the shard renames leaves
+  /// no file of the new generation in `dir`. A geometry
+  /// Manifest::parse rejects (k, m or block of 0, a block over 1 GiB,
+  /// k + m over 4096) is kIoError EINVAL before anything is read or
+  /// written.
   Status encode_file(const std::filesystem::path& input,
                      const std::filesystem::path& dir) const;
 
@@ -207,6 +225,10 @@ class ShardStore {
                      const std::filesystem::path& output) const;
 
  private:
+  /// One file call's k+m shard buffers, drawn from `spare_` when it
+  /// fits (shard_store.cc).
+  class Buffers;
+
   std::optional<Manifest> load_manifest(
       const std::filesystem::path& dir) const;
   /// Read every shard into its preallocated span; unreadable or
@@ -249,6 +271,9 @@ class ShardStore {
   aio::Mode aio_mode_ = aio::ModeFromEnv();
   bool verify_on_read_ = true;
   bool read_repair_ = true;
+  /// The shard buffers of the last finished file call, or null.
+  mutable std::mutex spare_mu_;
+  mutable std::unique_ptr<pmpool::Arena> spare_;
 };
 
 }  // namespace shard

@@ -2,7 +2,8 @@
 // (skipped cleanly where the kernel lacks it), and the datapath
 // contract both backends share — fstat-sized reads, explicit
 // short-read errors, scatter/gather with segment callbacks, durable
-// temp→fsync→rename writes, and the aio.submit / aio.cqe fault sites.
+// temp→fsync→rename writes and their group commit, and the
+// aio.submit / aio.cqe fault sites.
 #include "aio/datapath.h"
 
 #include <fcntl.h>
@@ -78,6 +79,36 @@ class AioTest : public ::testing::Test {
   }
 
   fs::path dir_;
+};
+
+/// A durable group of files `group_<i>` in `dir` with distinct sizes —
+/// empty, sub-page, page, multi-page, and more than one ring chunk —
+/// whose contents derive from `seed`.
+class FileGroup {
+ public:
+  static constexpr std::size_t kFiles = 5;
+
+  FileGroup(const fs::path& dir, std::uint64_t seed) {
+    const std::size_t sizes[kFiles] = {0, 1, 4096, 70001,
+                                       (std::size_t{1} << 21) + 17};
+    std::mt19937_64 rng(seed);
+    for (std::size_t i = 0; i < kFiles; ++i) {
+      data[i].resize(sizes[i]);
+      for (auto& b : data[i]) b = static_cast<std::byte>(rng());
+      segs_[i] = {data[i].data(), data[i].size(), 0};
+      files[i] = {dir / ("group_" + std::to_string(i)),
+                  data[i].empty() ? std::span<const aio::Seg>{}
+                                  : std::span<const aio::Seg>(&segs_[i], 1)};
+    }
+  }
+  FileGroup(const FileGroup&) = delete;
+  FileGroup& operator=(const FileGroup&) = delete;
+
+  std::vector<std::byte> data[kFiles];
+  aio::DurableFile files[kFiles];
+
+ private:
+  aio::Seg segs_[kFiles];
 };
 
 TEST_F(AioTest, ParseModeAcceptsTheDocumentedSpellings) {
@@ -255,6 +286,95 @@ TEST_F(AioTest, FailedDurableWriteLeavesOldContentAndNoTemp) {
     EXPECT_EQ(slurp(p), old) << "failed write must not touch the target";
     EXPECT_EQ(tmp_leftovers(), 0u);
   }
+}
+
+TEST_F(AioTest, GroupCommitLandsEveryFileAndLeavesNoTemp) {
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    for (const std::uint64_t seed : {1, 2}) {  // create, then replace
+      const FileGroup group(dir_, seed);
+      aio::Transfer xfer(b);
+      ASSERT_TRUE(aio::WriteFilesDurable(xfer, group.files).ok());
+      for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+        EXPECT_EQ(slurp(group.files[i].path), group.data[i]) << i;
+      }
+      EXPECT_EQ(tmp_leftovers(), 0u);
+    }
+  }
+}
+
+// The write site is consulted once per file, in file order, before any
+// fsync: a fault at any consult unlinks every temp, so no target of
+// the group changes.
+TEST_F(AioTest, GroupCommitWriteFaultAtAnyFileLeavesEveryTargetOld) {
+  aio::FaultSites sites;
+  sites.write = "t.write";
+  const FileGroup old(dir_, 3);
+  const FileGroup next(dir_, 4);
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    {
+      aio::Transfer xfer(b);
+      ASSERT_TRUE(aio::WriteFilesDurable(xfer, old.files).ok());
+    }
+    for (std::uint64_t nth = 1; nth <= FileGroup::kFiles; ++nth) {
+      SCOPED_TRACE("fault at consult " + std::to_string(nth));
+      fault::SitePlan plan;
+      plan.nth = {nth};
+      plan.error = ENOSPC;
+      const fault::ScopedPlan scoped("t.write", plan);
+      aio::Transfer xfer(b);
+      std::size_t failed = FileGroup::kFiles;
+      const auto st =
+          aio::WriteFilesDurable(xfer, next.files, sites, true, &failed);
+      EXPECT_EQ(st.err, ENOSPC);
+      EXPECT_EQ(failed, nth - 1);
+      for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+        EXPECT_EQ(slurp(old.files[i].path), old.data[i]) << i;
+      }
+      EXPECT_EQ(tmp_leftovers(), 0u);
+    }
+  }
+}
+
+// Renames run in file order after every fsync: a rename failure keeps
+// the files renamed before it, and the temps after it are unlinked.
+TEST_F(AioTest, GroupCommitRenameFailureKeepsOnlyTheEarlierFiles) {
+  constexpr std::size_t j = 2;
+  const FileGroup old(dir_, 5);
+  const FileGroup next(dir_, 6);
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    {
+      aio::Transfer xfer(b);
+      ASSERT_TRUE(aio::WriteFilesDurable(xfer, old.files).ok());
+    }
+    const fs::path blocker = next.files[j].path;
+    fs::remove(blocker);
+    fs::create_directories(blocker / "child");
+    aio::Transfer xfer(b);
+    std::size_t failed = FileGroup::kFiles;
+    const auto st = aio::WriteFilesDurable(xfer, next.files, {}, true, &failed);
+    EXPECT_EQ(st.err, EISDIR) << st.detail;
+    EXPECT_EQ(failed, j);
+    for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+      if (i == j) continue;
+      EXPECT_EQ(slurp(next.files[i].path), i < j ? next.data[i] : old.data[i])
+          << i;
+    }
+    EXPECT_TRUE(fs::exists(blocker / "child"));
+    EXPECT_EQ(tmp_leftovers(), 0u);
+    fs::remove_all(blocker);
+  }
+}
+
+TEST_F(AioTest, CreateDirectoriesDurableMakesEveryMissingLevel) {
+  const fs::path deep = dir_ / "a" / "b" / "c";
+  ASSERT_TRUE(aio::CreateDirectoriesDurable(deep).ok());
+  EXPECT_TRUE(fs::is_directory(deep));
+  ASSERT_TRUE(aio::CreateDirectoriesDurable(deep).ok());  // exists: no-op
+  const fs::path file = file_with("plain.bin", 10, 8);
+  EXPECT_FALSE(aio::CreateDirectoriesDurable(file / "sub").ok());
 }
 
 TEST_F(AioTest, GatherWriteAssemblesSegmentsWithZeroGaps) {

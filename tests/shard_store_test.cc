@@ -7,6 +7,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <thread>
 
 #include "aio/ring.h"
 #include "dialga/dialga.h"
@@ -67,8 +68,9 @@ class ShardStoreTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  fs::path write_input(std::size_t bytes, std::uint64_t seed) {
-    const fs::path p = dir_ / "input.bin";
+  fs::path write_input(std::size_t bytes, std::uint64_t seed,
+                       const std::string& name = "input.bin") {
+    const fs::path p = dir_ / name;
     std::mt19937_64 rng(seed);
     std::ofstream out(p, std::ios::binary);
     for (std::size_t i = 0; i < bytes; ++i) {
@@ -425,28 +427,95 @@ TEST_F(ShardStoreTest, EncodeRefusesGeometriesTheManifestRejects) {
   }
 }
 
+// Re-encode different content into the same directory with a write
+// failing: the shards of a generation commit as one group, so a
+// shard.write fault at the first, a middle or the last shard's consult
+// leaves generation 1 byte-identical and decodable, with no file of
+// generation 2 and no temp in the directory.
 TEST_F(ShardStoreTest, FailedReencodePreservesThePreviousGeneration) {
+  constexpr std::size_t k = 4, m = 2;
+  const ec::IsalCodec codec(k, m);
+  const ShardStore store(codec, 1024);
+  const auto v1_bytes = slurp(write_input(9000, 9, "v1.bin"));
+  ASSERT_TRUE(store.encode_file(dir_ / "v1.bin", dir_ / "shards"));
+  fs::copy(dir_ / "shards", dir_ / "before");
+  write_input(12000, 10, "v2.bin");
+
+  for (const std::uint64_t nth : {std::size_t{1}, (k + m) / 2, k + m}) {
+    SCOPED_TRACE("shard.write fires at consult " + std::to_string(nth));
+    {
+      fault::SitePlan plan;
+      plan.nth = {nth};
+      plan.error = EIO;
+      const fault::ScopedPlan scoped("shard.write", plan);
+      const Status st = store.encode_file(dir_ / "v2.bin", dir_ / "shards");
+      EXPECT_EQ(st.kind, Status::Kind::kIoError) << st.message();
+      EXPECT_EQ(st.error, EIO);
+    }
+    expect_same_generation(dir_ / "before", dir_ / "shards", k + m + 1);
+    ASSERT_TRUE(store.decode_file(dir_ / "shards", dir_ / "out.bin"));
+    EXPECT_EQ(slurp(dir_ / "out.bin"), v1_bytes);
+  }
+}
+
+// A store hands the slabs of its last call to the next call of the
+// same slab size. Both files below fill one page-sized slab per shard
+// (5 and 3 stripes of 256 bytes), so the 2.5-stripe encode runs on the
+// 5-stripe encode's slabs: its padding must read as zero again, or its
+// shards and manifest would differ from a fresh store's.
+TEST_F(ShardStoreTest, RecycledBuffersMatchAFreshStore) {
+  constexpr std::size_t k = 4, m = 2, bs = 256;
+  const ec::IsalCodec codec(k, m);
+  const ShardStore store(codec, bs);
+  ASSERT_TRUE(
+      store.encode_file(write_input(5 * k * bs, 19, "five.bin"),
+                        dir_ / "five"));
+  const fs::path input = write_input(5 * k * bs / 2, 20, "half.bin");
+  ASSERT_TRUE(store.encode_file(input, dir_ / "half"));
+  ASSERT_TRUE(ShardStore(codec, bs).encode_file(input, dir_ / "fresh"));
+  expect_same_generation(dir_ / "fresh", dir_ / "half", k + m + 1);
+
+  fs::remove(dir_ / "half" / "shard_001");
+  ASSERT_TRUE(store.decode_file(dir_ / "half", dir_ / "out.bin"));
+  EXPECT_EQ(slurp(dir_ / "out.bin"), slurp(input));
+  // Read-repair healed shard_001 from the recycled buffers too.
+  expect_same_generation(dir_ / "fresh", dir_ / "half", k + m + 1);
+}
+
+// File calls on one store may overlap: each takes the spare buffer set
+// or allocates its own, and the two shard sizes here keep the spare
+// changing size under both threads.
+TEST_F(ShardStoreTest, ConcurrentCallsOnOneStoreStayBitExact) {
+  constexpr int kRounds = 20;
   const ec::IsalCodec codec(4, 2);
   const ShardStore store(codec, 1024);
-  const fs::path v1 = write_input(9000, 9);
-  const auto v1_bytes = slurp(v1);
-  ASSERT_TRUE(store.encode_file(v1, dir_ / "shards"));
+  auto worker = [&](int t, std::size_t bytes) {
+    const std::string tag = "t" + std::to_string(t);
+    const fs::path input = write_input(bytes, 21 + t, tag + ".bin");
+    const auto original = slurp(input);
+    for (int round = 0; round < kRounds; ++round) {
+      ASSERT_TRUE(store.encode_file(input, dir_ / (tag + "_shards")));
+      ASSERT_TRUE(
+          store.decode_file(dir_ / (tag + "_shards"), dir_ / (tag + ".out")));
+      ASSERT_EQ(slurp(dir_ / (tag + ".out")), original) << "round " << round;
+    }
+  };
+  std::thread a(worker, 0, 3 * 4 * 1024 - 100);
+  std::thread b(worker, 1, 7 * 4 * 1024 + 300);
+  a.join();
+  b.join();
+}
 
-  // Re-encode different content into the same directory with every
-  // write failing: the durable protocol must leave generation 1 fully
-  // decodable (temp files never replace the real ones).
-  const fs::path v2 = write_input(12000, 10);
-  {
-    fault::SitePlan plan;
-    plan.probability = 1.0;
-    plan.error = EIO;
-    const fault::ScopedPlan scoped("shard.write", plan);
-    const Status st = store.encode_file(v2, dir_ / "shards");
-    EXPECT_FALSE(st.ok());
-    EXPECT_EQ(st.kind, Status::Kind::kIoError);
-  }
-  ASSERT_TRUE(store.decode_file(dir_ / "shards", dir_ / "out.bin"));
-  EXPECT_EQ(slurp(dir_ / "out.bin"), v1_bytes);
+// Every directory level encode_file creates is fsynced into its parent;
+// a generation in a new three-level path reads back bit-exact.
+TEST_F(ShardStoreTest, EncodeCreatesEveryMissingDirectoryLevel) {
+  const ec::IsalCodec codec(4, 2);
+  const ShardStore store(codec, 1024);
+  const fs::path input = write_input(6000, 22);
+  const fs::path deep = dir_ / "a" / "b" / "c";
+  ASSERT_TRUE(store.encode_file(input, deep));
+  ASSERT_TRUE(store.decode_file(deep, dir_ / "out.bin"));
+  EXPECT_EQ(slurp(dir_ / "out.bin"), slurp(input));
 }
 
 TEST_F(ShardStoreTest, RetryBackoffIsClampedToTheDeadline) {
