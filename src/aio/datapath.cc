@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "fault/injector.h"
 #include "obs/metrics.h"
@@ -304,12 +305,21 @@ IoStatus WriteSegsFdUring(Transfer& xfer, Ring* ring, int fd,
 
 std::atomic<unsigned> g_tmp_seq{0};
 
-fs::path TmpPathFor(const fs::path& path) {
+/// Create a fresh temp beside `path` (O_EXCL), naming it in *tmp;
+/// returns its descriptor, or -1 with errno set. A name that already
+/// exists is one an earlier process with this pid left behind (a crash
+/// leaves its temps and spares), so the next sequence number is tried.
+int CreateTemp(const fs::path& path, fs::path* tmp) {
   fs::path dir = path.parent_path();
   if (dir.empty()) dir = ".";
-  return dir / (path.filename().string() + ".tmp-" +
-                std::to_string(::getpid()) + "-" +
-                std::to_string(g_tmp_seq.fetch_add(1)));
+  const std::string prefix =
+      path.filename().string() + ".tmp-" + std::to_string(::getpid()) + "-";
+  for (;;) {
+    *tmp = dir / (prefix + std::to_string(g_tmp_seq.fetch_add(1)));
+    const int fd =
+        ::open(tmp->c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    if (fd >= 0 || errno != EEXIST) return fd;
+  }
 }
 
 /// open(path, flags) and fsync it; `what` names it in the error.
@@ -331,9 +341,77 @@ IoStatus SyncParentDir(const fs::path& path) {
   return OpenAndFsync(dir, O_RDONLY | O_DIRECTORY, "parent directory");
 }
 
-/// Size the fresh temp behind `fd`, write `segs` into it, and start
-/// its write-back so the device works on this file while later files
-/// of the group are written.
+void UnlinkEach(std::span<const fs::path> paths) {
+  for (const fs::path& p : paths) {
+    if (!p.empty()) ::unlink(p.c_str());
+  }
+}
+
+/// Whether `segs` write every byte of the file they define, so a file
+/// overwritten with them keeps none of its old content.
+bool CoversWholeFile(std::span<const Seg> segs) {
+  std::vector<Seg> sorted(segs.begin(), segs.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Seg& a, const Seg& b) { return a.offset < b.offset; });
+  std::uint64_t end = 0;
+  for (const Seg& s : sorted) {
+    if (s.offset > end) return false;
+    end = std::max(end, s.offset + s.len);
+  }
+  return true;
+}
+
+/// Open a spare for overwriting, or -1 when it is no longer a regular
+/// file (gone, or replaced by a symlink, a directory or another node)
+/// or when it has another name too: a spare is a file an exchange
+/// displaced, and a hard link made while it was live (a `cp -al` or
+/// rsync --link-dest backup of the directory) must keep its bytes.
+/// O_NONBLOCK keeps a FIFO in its place from blocking the open; it is
+/// cleared before anything is written.
+int OpenSpare(const fs::path& spare) {
+  const int fd = ::open(spare.c_str(),
+                        O_WRONLY | O_NOFOLLOW | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0) return -1;
+  struct ::stat st;
+  if (::fstat(fd, &st) < 0 || !S_ISREG(st.st_mode) || st.st_nlink != 1 ||
+      ::fcntl(fd, F_SETFL, 0) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool IsRegularFile(const fs::path& path) {
+  struct ::stat st;
+  return ::lstat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
+}
+
+/// Publish `tmp` at `path`. With `exchange`, a regular file at `path`
+/// trades places with `tmp` in one atomic renameat2(RENAME_EXCHANGE),
+/// so `tmp` then holds the displaced file and *exchanged is set. A
+/// missing target or a filesystem without the exchange takes the plain
+/// rename; so does a non-regular target, which is never swapped away (a
+/// directory fails the rename with EISDIR). Returns 0 or the errno.
+int Publish(const fs::path& tmp, const fs::path& path, bool exchange,
+            bool* exchanged) {
+  *exchanged = false;
+  if (exchange && IsRegularFile(path)) {
+    if (::renameat2(AT_FDCWD, tmp.c_str(), AT_FDCWD, path.c_str(),
+                    RENAME_EXCHANGE) == 0) {
+      *exchanged = true;
+      return 0;
+    }
+    if (errno != EINVAL && errno != ENOSYS && errno != EOPNOTSUPP &&
+        errno != ENOENT) {
+      return errno;
+    }
+  }
+  return ::rename(tmp.c_str(), path.c_str()) == 0 ? 0 : errno;
+}
+
+/// Size the temp behind `fd`, write `segs` into it, and start its
+/// write-back so the device works on this file while later files of
+/// the group are written.
 IoStatus FillTemp(Transfer& xfer, int fd, std::span<const Seg> segs) {
   std::uint64_t total = 0;
   std::uint64_t payload = 0;
@@ -569,20 +647,39 @@ IoStatus ReadScatter(Transfer& xfer, const fs::path& path,
 
 IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
                            const FaultSites& sites, bool sync_parent,
-                           std::size_t* failed) {
-  std::vector<fs::path> temps;  // created so far, in file order
+                           std::size_t* failed,
+                           std::vector<fs::path>* spares) {
+  // Every spare handed in is overwritten as its file's temp or
+  // unlinked: none outlives this call untracked.
+  std::vector<fs::path> pool;
+  if (spares != nullptr) pool = std::exchange(*spares, {});
+  std::vector<fs::path> temps;  // created or reused so far, in file order
   temps.reserve(files.size());
   auto fail = [&](std::size_t i, IoStatus st) {
-    for (const fs::path& t : temps) ::unlink(t.c_str());
+    UnlinkEach(temps);
+    UnlinkEach(pool);
     if (failed != nullptr) *failed = i;
     return st;
   };
   for (std::size_t i = 0; i < files.size(); ++i) {
-    fs::path tmp = TmpPathFor(files[i].path);
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    fs::path tmp;
+    int fd = -1;
+    if (i < pool.size() && !pool[i].empty()) {
+      fs::path spare = std::exchange(pool[i], {});
+      // Only content that covers the whole file may overwrite a spare:
+      // a gap would keep the old bytes where the file must read zero.
+      if (CoversWholeFile(files[i].segs)) fd = OpenSpare(spare);
+      if (fd >= 0) {
+        tmp = std::move(spare);
+      } else {
+        ::unlink(spare.c_str());
+      }
+    }
     if (fd < 0) {
-      return fail(i, IoStatus::Error(errno, "cannot create temp file"));
+      fd = CreateTemp(files[i].path, &tmp);
+      if (fd < 0) {
+        return fail(i, IoStatus::Error(errno, "cannot create temp file"));
+      }
     }
     temps.push_back(std::move(tmp));
     const IoStatus st = FillTemp(xfer, fd, files[i].segs);
@@ -595,8 +692,10 @@ IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
       return fail(i, IoStatus::Error(fe, "write failed"));
     }
   }
-  // No temp is renamed until every temp of the group is durable. The
-  // reopened descriptor is as good as the first: fsync flushes the
+  UnlinkEach(pool);  // spares beyond the last file
+  pool.clear();
+  // No temp is published until every temp of the group is durable.
+  // The reopened descriptor is as good as the first: fsync flushes the
   // inode, and Linux reports a write-back error that no descriptor has
   // seen yet to a newly opened one.
   for (std::size_t i = 0; i < temps.size(); ++i) {
@@ -605,25 +704,35 @@ IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
       return fail(i, st);
     }
   }
+  // Per file, the temp path that now holds the file its publish
+  // displaced (empty where it renamed over nothing).
+  std::vector<fs::path> displaced(files.size());
+  auto fail_published = [&](std::size_t i, IoStatus st) {
+    UnlinkEach(displaced);
+    if (failed != nullptr) *failed = i;
+    return st;
+  };
   for (std::size_t i = 0; i < temps.size(); ++i) {
-    if (::rename(temps[i].c_str(), files[i].path.c_str()) < 0) {
-      const int e = errno;
-      for (std::size_t j = i; j < temps.size(); ++j) {
-        ::unlink(temps[j].c_str());
-      }
-      if (failed != nullptr) *failed = i;
-      return IoStatus::Error(e, "rename failed");
+    bool exchanged = false;
+    if (const int e = Publish(temps[i], files[i].path, spares != nullptr,
+                              &exchanged);
+        e != 0) {
+      UnlinkEach(std::span(temps).subspan(i));
+      return fail_published(i, IoStatus::Error(e, "rename failed"));
     }
+    if (exchanged) displaced[i] = std::move(temps[i]);
   }
   if (sync_parent) {
     for (std::size_t i = 0; i < files.size(); ++i) {
       const fs::path dir = files[i].path.parent_path();
       if (i > 0 && dir == files[i - 1].path.parent_path()) continue;
       if (IoStatus st = SyncParentDir(files[i].path); !st.ok()) {
-        if (failed != nullptr) *failed = i;
-        return st;
+        return fail_published(i, st);
       }
     }
+  }
+  if (spares != nullptr) {
+    *spares = std::move(displaced);
   }
   return IoStatus::Ok();
 }

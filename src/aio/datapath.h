@@ -23,7 +23,10 @@
 //     fsync parent directory, so a crash leaves the old file or the
 //     new file, never a torn one. A group of files commits in one
 //     flush round (WriteFilesDurable): every temp is written and fsynced
-//     before the first rename.
+//     before the first rename. A caller that re-commits one group of
+//     paths can pass the files its last commit replaced: they are
+//     overwritten as the temps and published with RENAME_EXCHANGE, so
+//     no generation's blocks and pages are freed and reallocated.
 //
 // Fault injection: callers name their sites via FaultSites (the shard
 // store passes shard.open/shard.read/shard.short_read/shard.write so
@@ -152,7 +155,8 @@ struct DurableFile {
 };
 
 /// Group commit, in file order:
-///   1. each file: create a temp beside it (O_EXCL), write it, start
+///   1. each file: create a temp beside it (O_EXCL; a name left by an
+///      earlier process with this pid is skipped), write it, start
 ///      its write-back (sync_file_range, a hint whose error is
 ///      ignored), consult sites.write, close it;
 ///   2. reopen and fsync every temp;
@@ -165,10 +169,28 @@ struct DurableFile {
 /// the files renamed before it and unlinks the temps after it.
 /// `*failed`, when given, receives the index of the file whose step
 /// failed.
+///
+/// `spares`, when given, recycles the files an earlier group replaced
+/// instead of freeing them. On entry, (*spares)[i] names file i's spare
+/// (an empty path or a short list: none). A spare that is still a
+/// regular file with no other name is overwritten in place as file i's
+/// temp, provided the segs cover the whole file (else a fresh temp keeps
+/// uncovered ranges zero); a spare not reused is unlinked, so a hard
+/// link to it elsewhere keeps its bytes. Step 3 then trades each temp
+/// with a regular-file target in one renameat2(RENAME_EXCHANGE), so the
+/// temp path holds the replaced file; a missing target, or a
+/// filesystem without the exchange, takes the plain rename, and a
+/// non-regular target fails it as without spares. On success *spares
+/// holds, per file, the temp path now holding the file it replaced
+/// (empty where nothing was replaced): the next group's spares. On
+/// failure *spares is empty and every spare, temp and replaced file is
+/// unlinked, files published before a failed step 3 staying in place.
 IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
                            const FaultSites& sites = {},
                            bool sync_parent = true,
-                           std::size_t* failed = nullptr);
+                           std::size_t* failed = nullptr,
+                           std::vector<std::filesystem::path>* spares =
+                               nullptr);
 
 /// Durable whole-file write: WriteFilesDurable of this one file. On any
 /// failure the temp file is removed and `path` is untouched.

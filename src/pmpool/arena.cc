@@ -40,10 +40,7 @@ std::vector<std::span<std::byte>> Arena::recycle(std::size_t n) {
   assert(holds(slabs_.size(), n));
   std::vector<std::span<std::byte>> spans;
   spans.reserve(slabs_.size());
-  for (const auto& slab : slabs_) {
-    std::memset(slab.get(), 0, n);
-    spans.emplace_back(slab.get(), n);
-  }
+  for (const auto& slab : slabs_) spans.emplace_back(slab.get(), n);
   return spans;
 }
 

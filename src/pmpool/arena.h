@@ -5,9 +5,9 @@
 // set), and what a real PM-backed pool would hand out anyway (PM maps
 // are page-granular). The arena owns every slab until it is destroyed,
 // so spans handed to in-flight I/O stay valid for the whole
-// operation. recycle() hands the same slabs out again, zeroed, so a
-// caller that keeps its arena between operations maps and faults its
-// pages once.
+// operation. recycle() hands the same slabs out again as they are, so
+// a caller that keeps its arena between operations maps and faults its
+// pages once, and writes or zeroes every byte it uses.
 //
 // Not thread-safe: one file-level operation at a time.
 #pragma once
@@ -38,9 +38,10 @@ class Arena {
   /// allocate(n) makes: the set recycle(n) can hand out again.
   bool holds(std::size_t count, std::size_t n) const;
 
-  /// Every slab again, zeroed, as spans of `n` bytes in allocation
-  /// order: allocate()'s contract without new memory. Every slab must
-  /// be the size allocate(n) makes (holds() checks it).
+  /// Every slab again, as spans of `n` bytes in allocation order,
+  /// still holding what the last user left in them: allocate()'s
+  /// contract without new memory and without the zero fill. Every slab
+  /// must be the size allocate(n) makes (holds() checks it).
   std::vector<std::span<std::byte>> recycle(std::size_t n);
 
   /// One iovec per slab, in allocation order — the list handed to

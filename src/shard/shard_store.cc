@@ -1,5 +1,7 @@
 #include "shard/shard_store.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -256,14 +258,24 @@ aio::IoStatus RetryTransient(const ServicePolicy& policy,
 ShardStore::ShardStore(const ec::Codec& codec, std::size_t block_size)
     : codec_(codec), block_size_(block_size) {}
 
-ShardStore::~ShardStore() = default;
+namespace {
+
+void UnlinkSpares(const std::vector<fs::path>& spares) {
+  for (const fs::path& p : spares) {
+    if (!p.empty()) ::unlink(p.c_str());
+  }
+}
+
+}  // namespace
+
+ShardStore::~ShardStore() { UnlinkSpares(spare_files_); }
 
 /// Takes the store's spare set when it holds `count` slabs of `bytes`
-/// (Arena::recycle re-zeroes them: encode's partial last stripe relies
-/// on the zero fill for padding) and allocates a fresh set otherwise.
-/// The set becomes the store's spare when the call ends. Declare it
-/// before the call's Transfer, whose ring pins the slabs, and before
-/// any future that still writes into them.
+/// (Arena::recycle hands them out holding the last call's bytes, so a
+/// caller writes or zeroes every byte it uses) and allocates a fresh,
+/// zeroed set otherwise. The set becomes the store's spare when the
+/// call ends. Declare it before the call's Transfer, whose ring pins
+/// the slabs, and before any future that still writes into them.
 class ShardStore::Buffers {
  public:
   Buffers(const ShardStore& store, std::size_t count, std::size_t bytes)
@@ -296,6 +308,49 @@ class ShardStore::Buffers {
  private:
   const ShardStore& store_;
   std::unique_ptr<pmpool::Arena> arena_;
+};
+
+/// Takes the store's spare shard files for one commit into `dir`: the
+/// set itself when it lies in `dir`; a set in another directory is
+/// deleted. list() is null when a concurrent encode holds the set, and
+/// that commit renames over the old shards and keeps nothing. What
+/// list() holds when the commit returns becomes the store's set.
+class ShardStore::SpareFiles {
+ public:
+  SpareFiles(const ShardStore& store, const fs::path& dir)
+      : store_(store), dir_(dir) {
+    std::vector<fs::path> stale;
+    {
+      const std::lock_guard lock(store.spare_mu_);
+      if (store.spare_files_taken_) return;
+      store.spare_files_taken_ = true;
+      held_ = true;
+      if (store.spare_dir_ == dir) {
+        files_ = std::move(store.spare_files_);
+      } else {
+        stale = std::move(store.spare_files_);
+      }
+      store.spare_files_.clear();
+    }
+    UnlinkSpares(stale);
+  }
+  ~SpareFiles() {
+    if (!held_) return;
+    const std::lock_guard lock(store_.spare_mu_);
+    store_.spare_dir_ = dir_;
+    store_.spare_files_ = std::move(files_);
+    store_.spare_files_taken_ = false;
+  }
+  SpareFiles(const SpareFiles&) = delete;
+  SpareFiles& operator=(const SpareFiles&) = delete;
+
+  std::vector<fs::path>* list() { return held_ ? &files_ : nullptr; }
+
+ private:
+  const ShardStore& store_;
+  const fs::path dir_;
+  bool held_ = false;
+  std::vector<fs::path> files_;
 };
 
 bool ShardStore::read_file_retrying(const fs::path& path,
@@ -512,16 +567,18 @@ Status ShardStore::encode_file(const fs::path& input,
   const std::size_t shard_bytes = stripes * block_size_;
 
   // Shard s holds: for every stripe r, block s of that stripe. The
-  // slabs are zeroed, page-aligned, and (on the uring backend) pinned
-  // as registered buffers — input blocks scatter-read straight into
-  // shard layout, with no whole-file staging copy.
+  // slabs are page-aligned and (on the uring backend) pinned as
+  // registered buffers — input blocks scatter-read straight into shard
+  // layout, with no whole-file staging copy.
   Buffers bufs(*this, k + m, shard_bytes);
   const std::vector<std::span<std::byte>>& shards = bufs.shards;
   aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
 
   // Scatter plan: block (r, i) of the input lands at stripe offset r
-  // of data shard i; the zero padding of a partial tail block is the
-  // slabs' zero fill.
+  // of data shard i. What no input byte covers — the tail of a partial
+  // last block and every block past the end of the file — is zeroed
+  // here, as recycled slabs still hold the last call's bytes; parity
+  // is written whole by the encode.
   std::vector<aio::Seg> segs;
   std::vector<std::size_t> seg_stripe;  // segment index -> stripe
   std::vector<std::size_t> blocks_left(stripes, 0);
@@ -529,10 +586,14 @@ Status ShardStore::encode_file(const fs::path& input,
     for (std::size_t i = 0; i < k; ++i) {
       const std::uint64_t off =
           (static_cast<std::uint64_t>(r) * k + i) * block_size_;
-      if (off >= file_size) break;
-      const std::size_t len = static_cast<std::size_t>(
-          std::min<std::uint64_t>(block_size_, file_size - off));
-      segs.push_back({shards[i].data() + r * block_size_, len, off});
+      const std::size_t len =
+          off < file_size ? static_cast<std::size_t>(std::min<std::uint64_t>(
+                                block_size_, file_size - off))
+                          : 0;
+      std::byte* block = shards[i].data() + r * block_size_;
+      std::memset(block + len, 0, block_size_ - len);
+      if (len == 0) continue;
+      segs.push_back({block, len, off});
       seg_stripe.push_back(r);
       ++blocks_left[r];
     }
@@ -572,10 +633,13 @@ Status ShardStore::encode_file(const fs::path& input,
     return Status::Io(st.err, dir, "cannot create shard directory");
   }
   // Durable commit protocol: the shards commit as one group — every
-  // temp written and fsynced before the first rename — and the
+  // temp written and fsynced before the first publish — and the
   // manifest goes last with the directory fsync, so a crash anywhere
   // leaves the old manifest (and old shards, each themselves whole) or
   // the complete new generation, never a manifest naming torn shards.
+  // The temps are the shard files this store's last commit into `dir`
+  // replaced, where it holds them; the shards they replace now become
+  // its spares.
   std::vector<aio::Seg> shard_segs;
   std::vector<aio::DurableFile> files;
   shard_segs.reserve(k + m);
@@ -586,9 +650,11 @@ Status ShardStore::encode_file(const fs::path& input,
     shard_segs.push_back({shards[s].data(), shard_bytes, 0});
     files.push_back({ShardPath(dir, s), {&shard_segs.back(), 1}});
   }
+  SpareFiles spares(*this, dir);
   std::size_t failed = 0;
-  if (const auto st = aio::WriteFilesDurable(xfer, files, kShardSites,
-                                             /*sync_parent=*/false, &failed);
+  if (const auto st =
+          aio::WriteFilesDurable(xfer, files, kShardSites,
+                                 /*sync_parent=*/false, &failed, spares.list());
       !st.ok()) {
     return Status::Io(st.err, files[failed].path,
                       st.detail.empty() ? "cannot write shard" : st.detail);

@@ -22,15 +22,30 @@
 //
 // A generation reaches disk in one flush round: the k+m shards commit
 // as one group (aio::WriteFilesDurable — every shard temp is fsynced
-// before the first rename), then the manifest, whose write fsyncs the
+// before the first publish), then the manifest, whose write fsyncs the
 // directory.
 //
 // A store keeps the shard buffers of its last finished file call and
-// hands them, re-zeroed, to the next call with the same shard count
+// hands them, as they are, to the next call with the same shard count
 // and size, so a long-lived store maps and faults its k+m shard
 // buffers once. An idle store therefore holds k+m x shard bytes until
 // it is destroyed. File calls may run concurrently on one store; a
 // call that finds the spare set taken allocates its own.
+//
+// A store also keeps the shard files its last re-encode replaced, as
+// temp-named files (`shard_NNN.tmp-*`) beside the generation. The next
+// encode into the same directory overwrites them as its temps and
+// publishes each with RENAME_EXCHANGE, so a steady re-encode frees and
+// allocates no blocks or pages; the replaced generation becomes the
+// next spare set. An encode into another directory deletes the set,
+// and so does the destructor, so a store holds at most one replaced
+// generation on disk, as it holds one buffer set in memory. An encode
+// that finds the set taken by a concurrent one renames over the old
+// shards and keeps nothing. A reader that still holds a shard open two
+// re-encodes later sees its bytes overwritten; a shard file with another
+// name (a hard-linked backup of the directory) is never overwritten. A
+// process that dies without destroying its store leaves the set behind
+// under its temp names.
 #pragma once
 
 #include <chrono>
@@ -199,7 +214,7 @@ class ShardStore {
 
   /// Encode `input` into `dir` (created if needed, with every level
   /// it creates fsynced into its parent). kIoError with errno + path
-  /// on filesystem failure; a failure before the shard renames leaves
+  /// on filesystem failure; a failure before the shard publishes leaves
   /// no file of the new generation in `dir`. A geometry
   /// Manifest::parse rejects (k, m or block of 0, a block over 1 GiB,
   /// k + m over 4096) is kIoError EINVAL before anything is read or
@@ -228,6 +243,8 @@ class ShardStore {
   /// One file call's k+m shard buffers, drawn from `spare_` when it
   /// fits (shard_store.cc).
   class Buffers;
+  /// One encode's hold on `spare_files_` (shard_store.cc).
+  class SpareFiles;
 
   std::optional<Manifest> load_manifest(
       const std::filesystem::path& dir) const;
@@ -274,6 +291,12 @@ class ShardStore {
   /// The shard buffers of the last finished file call, or null.
   mutable std::mutex spare_mu_;
   mutable std::unique_ptr<pmpool::Arena> spare_;
+  /// The shard files the last recycled commit replaced, one path per
+  /// shard (empty where none came back), all in `spare_dir_`; an encode
+  /// holding them sets `spare_files_taken_`. Guarded by spare_mu_.
+  mutable std::filesystem::path spare_dir_;
+  mutable std::vector<std::filesystem::path> spare_files_;
+  mutable bool spare_files_taken_ = false;
 };
 
 }  // namespace shard

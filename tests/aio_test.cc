@@ -2,8 +2,8 @@
 // (skipped cleanly where the kernel lacks it), and the datapath
 // contract both backends share — fstat-sized reads, explicit
 // short-read errors, scatter/gather with segment callbacks, durable
-// temp→fsync→rename writes and their group commit, and the
-// aio.submit / aio.cqe fault sites.
+// temp→fsync→rename writes, their group commit and its recycled
+// (RENAME_EXCHANGE) publish, and the aio.submit / aio.cqe fault sites.
 #include "aio/datapath.h"
 
 #include <fcntl.h>
@@ -16,7 +16,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "aio/ring.h"
@@ -365,6 +367,276 @@ TEST_F(AioTest, GroupCommitRenameFailureKeepsOnlyTheEarlierFiles) {
     EXPECT_TRUE(fs::exists(blocker / "child"));
     EXPECT_EQ(tmp_leftovers(), 0u);
     fs::remove_all(blocker);
+  }
+}
+
+// The recycled publish trades each temp with its regular-file target,
+// so every returned spare holds the bytes its file replaced; the next
+// group overwrites the spares in place as its temps (handed over in
+// reverse here, so each is shrunk or grown to its new file's length)
+// and returns the same paths.
+TEST_F(AioTest, RecycledPublishExchangesAndReusesTheReplacedFiles) {
+  const FileGroup g1(dir_, 11);
+  const FileGroup g2(dir_, 12);
+  const FileGroup g3(dir_, 13);
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    for (const aio::DurableFile& f : g1.files) fs::remove(f.path);
+    aio::Transfer xfer(b);
+    std::vector<fs::path> spares;
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, g1.files, {}, true, nullptr, &spares)
+            .ok());
+    EXPECT_EQ(spares, std::vector<fs::path>(FileGroup::kFiles));
+    EXPECT_EQ(tmp_leftovers(), 0u);
+
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, g2.files, {}, true, nullptr, &spares)
+            .ok());
+    ASSERT_EQ(spares.size(), FileGroup::kFiles);
+    for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+      EXPECT_EQ(slurp(g2.files[i].path), g2.data[i]) << i;
+      EXPECT_EQ(slurp(spares[i]), g1.data[i]) << i;
+    }
+    EXPECT_EQ(tmp_leftovers(), FileGroup::kFiles);
+
+    std::reverse(spares.begin(), spares.end());
+    const std::vector<fs::path> reused = spares;
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, g3.files, {}, true, nullptr, &spares)
+            .ok());
+    EXPECT_EQ(spares, reused);
+    for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+      EXPECT_EQ(slurp(g3.files[i].path), g3.data[i]) << i;
+      EXPECT_EQ(slurp(spares[i]), g2.data[i]) << i;
+    }
+    EXPECT_EQ(tmp_leftovers(), FileGroup::kFiles);
+    for (const fs::path& s : spares) fs::remove(s);
+  }
+}
+
+// A missing target is renamed into place: nothing was replaced, so no
+// spare comes back for it.
+TEST_F(AioTest, RecycledPublishRenamesOverAMissingTarget) {
+  constexpr std::size_t j = 3;
+  const FileGroup old(dir_, 14);
+  const FileGroup next(dir_, 15);
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    aio::Transfer xfer(b);
+    ASSERT_TRUE(aio::WriteFilesDurable(xfer, old.files).ok());
+    fs::remove(old.files[j].path);
+    std::vector<fs::path> spares;
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, next.files, {}, true, nullptr, &spares)
+            .ok());
+    ASSERT_EQ(spares.size(), FileGroup::kFiles);
+    for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+      EXPECT_EQ(slurp(next.files[i].path), next.data[i]) << i;
+      if (i == j) {
+        EXPECT_TRUE(spares[i].empty()) << spares[i];
+      } else {
+        EXPECT_EQ(slurp(spares[i]), old.data[i]) << i;
+      }
+    }
+    EXPECT_EQ(tmp_leftovers(), FileGroup::kFiles - 1);
+    for (const fs::path& s : spares) fs::remove(s);
+  }
+}
+
+// A directory target is never exchanged out of the way: it fails the
+// publish with the rename's own error, the files published before it
+// stay, and every temp, reused spare and replaced file is unlinked.
+TEST_F(AioTest, RecycledPublishFailsOnADirectoryTargetAndKeepsNoSpare) {
+  constexpr std::size_t j = 2;
+  const FileGroup old(dir_, 16);
+  const FileGroup next(dir_, 17);
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    aio::Transfer xfer(b);
+    std::vector<fs::path> spares;
+    ASSERT_TRUE(aio::WriteFilesDurable(xfer, old.files).ok());
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, old.files, {}, true, nullptr, &spares)
+            .ok());
+    const fs::path blocker = next.files[j].path;
+    fs::remove(blocker);
+    fs::create_directories(blocker / "child");
+    std::size_t failed = FileGroup::kFiles;
+    const auto st =
+        aio::WriteFilesDurable(xfer, next.files, {}, true, &failed, &spares);
+    EXPECT_EQ(st.err, EISDIR) << st.detail;
+    EXPECT_EQ(failed, j);
+    EXPECT_TRUE(spares.empty());
+    for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+      if (i == j) continue;
+      EXPECT_EQ(slurp(next.files[i].path), i < j ? next.data[i] : old.data[i])
+          << i;
+    }
+    EXPECT_TRUE(fs::is_directory(blocker / "child"));
+    EXPECT_EQ(tmp_leftovers(), 0u);
+    fs::remove_all(blocker);
+  }
+}
+
+// A write-site fault at any consult of a group overwriting reused
+// spares leaves every target old and unlinks every temp and spare.
+TEST_F(AioTest, RecycledPublishWriteFaultAtAnyFileLeavesEveryTargetOld) {
+  aio::FaultSites sites;
+  sites.write = "t.write";
+  const FileGroup old(dir_, 18);
+  const FileGroup next(dir_, 19);
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    aio::Transfer xfer(b);
+    ASSERT_TRUE(aio::WriteFilesDurable(xfer, old.files).ok());
+    for (std::uint64_t nth = 1; nth <= FileGroup::kFiles; ++nth) {
+      SCOPED_TRACE("fault at consult " + std::to_string(nth));
+      std::vector<fs::path> spares;
+      ASSERT_TRUE(
+          aio::WriteFilesDurable(xfer, old.files, {}, true, nullptr, &spares)
+              .ok());
+      ASSERT_EQ(tmp_leftovers(), FileGroup::kFiles);
+      fault::SitePlan plan;
+      plan.nth = {nth};
+      plan.error = ENOSPC;
+      const fault::ScopedPlan scoped("t.write", plan);
+      std::size_t failed = FileGroup::kFiles;
+      const auto st = aio::WriteFilesDurable(xfer, next.files, sites, true,
+                                             &failed, &spares);
+      EXPECT_EQ(st.err, ENOSPC);
+      EXPECT_EQ(failed, nth - 1);
+      EXPECT_TRUE(spares.empty());
+      for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+        EXPECT_EQ(slurp(old.files[i].path), old.data[i]) << i;
+      }
+      EXPECT_EQ(tmp_leftovers(), 0u);
+    }
+  }
+}
+
+// A spare that is gone, that a symlink now stands in for, or that has
+// another name is not reused: its file gets a fresh temp and the
+// spare's name is unlinked. The other name here is a hard link made
+// while the file was live, as a `cp -al` backup of the directory makes;
+// the exchange turns that inode into a spare, and it and the symlink's
+// target keep their bytes.
+TEST_F(AioTest, RecycledPublishGivesAGoneSymlinkedOrLinkedSpareAFreshTemp) {
+  constexpr std::size_t gone = 0, linked = 3, symlinked = 4;
+  const FileGroup g1(dir_, 20);
+  const FileGroup g2(dir_, 21);
+  const FileGroup g3(dir_, 22);
+  const fs::path victim = file_with("victim.bin", 5000, 23);
+  const auto victim_bytes = slurp(victim);
+  const fs::path backup = dir_ / "backup.bin";
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    aio::Transfer xfer(b);
+    std::vector<fs::path> spares;
+    ASSERT_TRUE(aio::WriteFilesDurable(xfer, g1.files).ok());
+    fs::remove(backup);
+    fs::create_hard_link(g1.files[linked].path, backup);
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, g2.files, {}, true, nullptr, &spares)
+            .ok());
+    const std::vector<fs::path> before = spares;
+    fs::remove(before[gone]);
+    fs::remove(before[symlinked]);
+    fs::create_symlink(victim, before[symlinked]);
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, g3.files, {}, true, nullptr, &spares)
+            .ok());
+    ASSERT_EQ(spares.size(), FileGroup::kFiles);
+    for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+      EXPECT_EQ(slurp(g3.files[i].path), g3.data[i]) << i;
+      EXPECT_EQ(slurp(spares[i]), g2.data[i]) << i;
+      EXPECT_EQ(spares[i] == before[i],
+                i != gone && i != linked && i != symlinked)
+          << i;
+    }
+    EXPECT_FALSE(fs::exists(fs::symlink_status(before[linked])));
+    EXPECT_FALSE(fs::exists(fs::symlink_status(before[symlinked])));
+    EXPECT_EQ(slurp(victim), victim_bytes);
+    EXPECT_EQ(slurp(backup), g1.data[linked]);
+    EXPECT_EQ(fs::hard_link_count(backup), 1u);
+    EXPECT_EQ(tmp_leftovers(), FileGroup::kFiles);
+    for (const fs::path& s : spares) fs::remove(s);
+  }
+}
+
+// A process that dies leaves its temps and spares, and a later process
+// may get its pid: a commit steps past a temp name that is taken
+// instead of failing, and leaves the file there alone.
+TEST_F(AioTest, GroupCommitStepsPastTempNamesLeftBehind) {
+  const FileGroup g1(dir_, 24);
+  const FileGroup g2(dir_, 25);
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    aio::Transfer xfer(b);
+    std::vector<fs::path> spares;
+    ASSERT_TRUE(aio::WriteFilesDurable(xfer, g1.files).ok());
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, g2.files, {}, true, nullptr, &spares)
+            .ok());
+    // The last temp was "group_4.tmp-<pid>-<seq>"; take every name the
+    // next group's temps would start from.
+    const std::string last = spares.back().filename().string();
+    const unsigned long seq = std::stoul(last.substr(last.rfind('-') + 1));
+    const std::string pid = std::to_string(::getpid());
+    std::vector<fs::path> taken;
+    for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+      for (unsigned long n = seq + 1; n <= seq + 2 * FileGroup::kFiles; ++n) {
+        taken.push_back(dir_ / ("group_" + std::to_string(i) + ".tmp-" + pid +
+                                "-" + std::to_string(n)));
+        std::ofstream(taken.back()) << "left";
+      }
+    }
+    ASSERT_TRUE(aio::WriteFilesDurable(xfer, g1.files).ok());
+    for (std::size_t i = 0; i < FileGroup::kFiles; ++i) {
+      EXPECT_EQ(slurp(g1.files[i].path), g1.data[i]) << i;
+    }
+    for (const fs::path& t : taken) {
+      std::ifstream in(t);
+      EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "left")
+          << t;
+      fs::remove(t);
+    }
+    EXPECT_EQ(tmp_leftovers(), FileGroup::kFiles);
+    for (const fs::path& s : spares) fs::remove(s);
+  }
+}
+
+// Content with a gap is never written over a spare: the gap must read
+// as zero, not as the spare's old bytes.
+TEST_F(AioTest, RecycledGatherWriteKeepsItsGapsZero) {
+  std::vector<std::byte> full(300, std::byte{0xff});
+  std::vector<std::byte> a(100, std::byte{0xaa});
+  std::vector<std::byte> c(100, std::byte{0xcc});
+  const aio::Seg whole{full.data(), full.size(), 0};
+  const std::vector<aio::Seg> gapped{{a.data(), a.size(), 0},
+                                     {c.data(), c.size(), 200}};
+  const fs::path p = dir_ / "gapped.bin";
+  for (const aio::Backend b : backends()) {
+    SCOPED_TRACE(aio::BackendName(b));
+    aio::Transfer xfer(b);
+    const aio::DurableFile ff{p, {&whole, 1}};
+    const aio::DurableFile fg{p, gapped};
+    std::vector<fs::path> spares;
+    ASSERT_TRUE(aio::WriteFilesDurable(xfer, {&ff, 1}).ok());
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, {&ff, 1}, {}, true, nullptr, &spares)
+            .ok());
+    ASSERT_EQ(spares.size(), 1u);
+    ASSERT_TRUE(
+        aio::WriteFilesDurable(xfer, {&fg, 1}, {}, true, nullptr, &spares)
+            .ok());
+    const auto got = slurp(p);
+    ASSERT_EQ(got.size(), 300u);
+    EXPECT_EQ(std::count(got.begin() + 100, got.begin() + 200, std::byte{0}),
+              100);
+    EXPECT_EQ(slurp(spares[0]), full);
+    EXPECT_EQ(tmp_leftovers(), 1u);
+    fs::remove(spares[0]);
   }
 }
 

@@ -6,13 +6,16 @@
 // tool exited 5 and 6 — and this test is what keeps that from
 // happening again: adding an exit code without updating both tables
 // fails here, not in a user's script. The real binary then pins the
-// usage exit for malformed or out-of-range option values.
+// usage exit for malformed or out-of-range option values, and that a
+// repeated encode leaves no spare shard files behind.
 #include "cli/eccli_usage.h"
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -133,6 +136,43 @@ TEST(EccliArgs, MalformedOrOutOfRangeValuesAreUsageErrors) {
   EXPECT_EQ(RunEccli("encode --k 8 --m 3 " + files, &out), cli::kExitOk)
       << out;
   EXPECT_TRUE(fs::exists(shards / "manifest.txt"));
+  fs::remove_all(dir);
+}
+
+// A re-encode keeps the shard files it replaced only while its store
+// lives: eccli encode run twice into one directory leaves exactly the
+// k+m shards and the manifest, and the generation decodes.
+TEST(EccliEncode, TwiceIntoOneDirectoryLeavesOneGeneration) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dialga_eccli_twice_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::ofstream(dir / "in.bin", std::ios::binary) << std::string(5000, 'x');
+  const fs::path shards = dir / "shards";
+  const std::string files = (dir / "in.bin").string() + " " + shards.string();
+  for (int run = 0; run < 2; ++run) {
+    std::string out;
+    ASSERT_EQ(RunEccli("encode --k 4 --m 2 " + files, &out), cli::kExitOk)
+        << out;
+  }
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(shards)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"manifest.txt", "shard_000",
+                                             "shard_001", "shard_002",
+                                             "shard_003", "shard_004",
+                                             "shard_005"}));
+  std::string out;
+  ASSERT_EQ(RunEccli("decode " + shards.string() + " " +
+                         (dir / "out.bin").string(),
+                     &out),
+            cli::kExitOk)
+      << out;
+  std::ifstream in(dir / "out.bin", std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+            std::string(5000, 'x'));
   fs::remove_all(dir);
 }
 

@@ -130,7 +130,7 @@ TEST(ManifestFuzz, RandomByteCorruptionNeverCrashes) {
                                        static_cast<char>('0' + rng() % 10)));
           break;
       }
-      if (text.empty()) text = "x";
+      if (text.empty()) text.assign(1, 'x');
     }
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto mf = Manifest::parse(text);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <fstream>
@@ -108,6 +109,28 @@ class ShardStoreTest : public ::testing::Test {
       ASSERT_TRUE(fs::exists(other)) << other;
       EXPECT_EQ(slurp(e.path()), slurp(other)) << other;
     }
+  }
+
+  /// The spare shard files a live store keeps in `d`, sorted: with
+  /// `files` entries in all, exactly one temp-named file per shard.
+  std::vector<std::string> expect_spares(const fs::path& d, std::size_t shards,
+                                         std::size_t files) {
+    std::vector<std::string> spares;
+    std::size_t n = 0;
+    for (const auto& e : fs::directory_iterator(d)) {
+      ++n;
+      const std::string name = e.path().filename().string();
+      if (name.find(".tmp-") != std::string::npos) spares.push_back(name);
+    }
+    EXPECT_EQ(n, files) << d;
+    std::sort(spares.begin(), spares.end());
+    EXPECT_EQ(spares.size(), shards) << d;
+    for (std::size_t s = 0; s < spares.size() && s < shards; ++s) {
+      char prefix[32];
+      std::snprintf(prefix, sizeof(prefix), "shard_%03zu.tmp-", s);
+      EXPECT_EQ(spares[s].rfind(prefix, 0), 0u) << spares[s];
+    }
+    return spares;
   }
 
   void corrupt_shard(std::size_t index, std::size_t offset) {
@@ -431,7 +454,11 @@ TEST_F(ShardStoreTest, EncodeRefusesGeometriesTheManifestRejects) {
 // failing: the shards of a generation commit as one group, so a
 // shard.write fault at the first, a middle or the last shard's consult
 // leaves generation 1 byte-identical and decodable, with no file of
-// generation 2 and no temp in the directory.
+// generation 2 and no temp in the directory. The faulted encodes first
+// write fresh temps (the store's one successful encode replaced
+// nothing, so it holds no spares), then overwrite the k+m spares a
+// successful re-encode of generation 1 leaves; the failure unlinks
+// every one.
 TEST_F(ShardStoreTest, FailedReencodePreservesThePreviousGeneration) {
   constexpr std::size_t k = 4, m = 2;
   const ec::IsalCodec codec(k, m);
@@ -441,28 +468,38 @@ TEST_F(ShardStoreTest, FailedReencodePreservesThePreviousGeneration) {
   fs::copy(dir_ / "shards", dir_ / "before");
   write_input(12000, 10, "v2.bin");
 
-  for (const std::uint64_t nth : {std::size_t{1}, (k + m) / 2, k + m}) {
-    SCOPED_TRACE("shard.write fires at consult " + std::to_string(nth));
-    {
-      fault::SitePlan plan;
-      plan.nth = {nth};
-      plan.error = EIO;
-      const fault::ScopedPlan scoped("shard.write", plan);
-      const Status st = store.encode_file(dir_ / "v2.bin", dir_ / "shards");
-      EXPECT_EQ(st.kind, Status::Kind::kIoError) << st.message();
-      EXPECT_EQ(st.error, EIO);
+  for (const bool recycled : {false, true}) {
+    for (const std::uint64_t nth : {std::size_t{1}, (k + m) / 2, k + m}) {
+      SCOPED_TRACE(std::string(recycled ? "recycled" : "fresh") +
+                   " temps, shard.write fires at consult " +
+                   std::to_string(nth));
+      if (recycled) {
+        ASSERT_TRUE(store.encode_file(dir_ / "v1.bin", dir_ / "shards"));
+        expect_spares(dir_ / "shards", k + m, 2 * (k + m) + 1);
+      }
+      {
+        fault::SitePlan plan;
+        plan.nth = {nth};
+        plan.error = EIO;
+        const fault::ScopedPlan scoped("shard.write", plan);
+        const Status st = store.encode_file(dir_ / "v2.bin", dir_ / "shards");
+        EXPECT_EQ(st.kind, Status::Kind::kIoError) << st.message();
+        EXPECT_EQ(st.error, EIO);
+      }
+      expect_same_generation(dir_ / "before", dir_ / "shards", k + m + 1);
+      ASSERT_TRUE(store.decode_file(dir_ / "shards", dir_ / "out.bin"));
+      EXPECT_EQ(slurp(dir_ / "out.bin"), v1_bytes);
     }
-    expect_same_generation(dir_ / "before", dir_ / "shards", k + m + 1);
-    ASSERT_TRUE(store.decode_file(dir_ / "shards", dir_ / "out.bin"));
-    EXPECT_EQ(slurp(dir_ / "out.bin"), v1_bytes);
   }
 }
 
-// A store hands the slabs of its last call to the next call of the
-// same slab size. Both files below fill one page-sized slab per shard
-// (5 and 3 stripes of 256 bytes), so the 2.5-stripe encode runs on the
-// 5-stripe encode's slabs: its padding must read as zero again, or its
-// shards and manifest would differ from a fresh store's.
+// A store hands the slabs of its last call, as they are, to the next
+// call of the same slab size. Every file below fills one page-sized
+// slab per shard (5, 3, 2 and 1 stripes of 256 bytes), so the
+// 2.5-stripe encode runs on the 5-stripe encode's slabs, and the
+// partial-block and empty encodes on slabs a decode filled: encode must
+// zero their padding itself, or their shards and manifest would differ
+// from a fresh store's.
 TEST_F(ShardStoreTest, RecycledBuffersMatchAFreshStore) {
   constexpr std::size_t k = 4, m = 2, bs = 256;
   const ec::IsalCodec codec(k, m);
@@ -480,6 +517,73 @@ TEST_F(ShardStoreTest, RecycledBuffersMatchAFreshStore) {
   EXPECT_EQ(slurp(dir_ / "out.bin"), slurp(input));
   // Read-repair healed shard_001 from the recycled buffers too.
   expect_same_generation(dir_ / "fresh", dir_ / "half", k + m + 1);
+
+  // A partial last block, then an empty file's all-padding stripe.
+  for (const std::size_t bytes : {k * bs + 100, std::size_t{0}}) {
+    SCOPED_TRACE(std::to_string(bytes) + " bytes");
+    const std::string tag = std::to_string(bytes);
+    const fs::path in = write_input(bytes, 23, tag + ".bin");
+    ASSERT_TRUE(store.encode_file(in, dir_ / tag));
+    ASSERT_TRUE(
+        ShardStore(codec, bs).encode_file(in, dir_ / (tag + "_fresh")));
+    expect_same_generation(dir_ / (tag + "_fresh"), dir_ / tag, k + m + 1);
+    ASSERT_TRUE(store.decode_file(dir_ / tag, dir_ / "out.bin"));
+    EXPECT_EQ(slurp(dir_ / "out.bin"), slurp(in));
+  }
+}
+
+// A re-encode recycles the shard files it replaces. The first encode
+// into a directory replaces nothing; the second leaves generation 1's
+// k+m shards as temp-named spares beside generation 2; the third
+// overwrites those spares as its temps, so the same spare names come
+// back. Every generation decodes bit-exact, and the store's destructor
+// deletes its spares.
+TEST_F(ShardStoreTest, ReencodeRecyclesTheReplacedShardFiles) {
+  constexpr std::size_t k = 4, m = 2;
+  const ec::IsalCodec codec(k, m);
+  const fs::path shards = dir_ / "shards";
+  const auto v1 = slurp(write_input(9000, 24, "v1.bin"));
+  const auto v2 = slurp(write_input(12000, 25, "v2.bin"));
+  {
+    const ShardStore store(codec, 1024);
+    ASSERT_TRUE(store.encode_file(dir_ / "v1.bin", shards));
+    expect_spares(shards, 0, k + m + 1);
+    ASSERT_TRUE(store.decode_file(shards, dir_ / "out.bin"));
+    EXPECT_EQ(slurp(dir_ / "out.bin"), v1);
+
+    ASSERT_TRUE(store.encode_file(dir_ / "v2.bin", shards));
+    const auto spares = expect_spares(shards, k + m, 2 * (k + m) + 1);
+    ASSERT_TRUE(store.decode_file(shards, dir_ / "out.bin"));
+    EXPECT_EQ(slurp(dir_ / "out.bin"), v2);
+
+    ASSERT_TRUE(store.encode_file(dir_ / "v1.bin", shards));
+    EXPECT_EQ(expect_spares(shards, k + m, 2 * (k + m) + 1), spares);
+    ASSERT_TRUE(store.decode_file(shards, dir_ / "out.bin"));
+    EXPECT_EQ(slurp(dir_ / "out.bin"), v1);
+  }
+  expect_spares(shards, 0, k + m + 1);
+  ASSERT_TRUE(ShardStore(codec, 1024).decode_file(shards, dir_ / "out.bin"));
+  EXPECT_EQ(slurp(dir_ / "out.bin"), v1);
+}
+
+// A store keeps spares for one directory: encoding into another one
+// deletes them, leaving the first directory's generation alone.
+TEST_F(ShardStoreTest, EncodeIntoAnotherDirectoryDeletesTheSpares) {
+  constexpr std::size_t k = 4, m = 2;
+  const ec::IsalCodec codec(k, m);
+  const ShardStore store(codec, 1024);
+  const auto v1 = slurp(write_input(9000, 26, "v1.bin"));
+  const auto v2 = slurp(write_input(12000, 27, "v2.bin"));
+  ASSERT_TRUE(store.encode_file(dir_ / "v1.bin", dir_ / "a"));
+  ASSERT_TRUE(store.encode_file(dir_ / "v2.bin", dir_ / "a"));
+  expect_spares(dir_ / "a", k + m, 2 * (k + m) + 1);
+  ASSERT_TRUE(store.encode_file(dir_ / "v1.bin", dir_ / "b"));
+  expect_spares(dir_ / "a", 0, k + m + 1);
+  expect_spares(dir_ / "b", 0, k + m + 1);
+  ASSERT_TRUE(store.decode_file(dir_ / "a", dir_ / "out_a.bin"));
+  EXPECT_EQ(slurp(dir_ / "out_a.bin"), v2);
+  ASSERT_TRUE(store.decode_file(dir_ / "b", dir_ / "out_b.bin"));
+  EXPECT_EQ(slurp(dir_ / "out_b.bin"), v1);
 }
 
 // File calls on one store may overlap: each takes the spare buffer set
@@ -490,7 +594,8 @@ TEST_F(ShardStoreTest, ConcurrentCallsOnOneStoreStayBitExact) {
   const ec::IsalCodec codec(4, 2);
   const ShardStore store(codec, 1024);
   auto worker = [&](int t, std::size_t bytes) {
-    const std::string tag = "t" + std::to_string(t);
+    std::string tag = "t";
+    tag += std::to_string(t);
     const fs::path input = write_input(bytes, 21 + t, tag + ".bin");
     const auto original = slurp(input);
     for (int round = 0; round < kRounds; ++round) {
