@@ -118,6 +118,11 @@ inline constexpr char kUsageText[] =
     "                    0 (default) = plain RS(k, m)\n"
     "  --domains D       spread the nodes over D failure domains "
     "(round-robin);\n"
-    "                    0 (default) = one domain per node\n";
+    "                    0 (default) = one domain per node\n"
+    "  Each mode reads only its own flags. With --cluster-nodes, "
+    "--serial,\n"
+    "  --threads, --qos, --deadline-ms and --retries (the stripe "
+    "service's) are\n"
+    "  a usage error; without it, so are --local and --domains.\n";
 
 }  // namespace cli

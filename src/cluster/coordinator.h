@@ -1,8 +1,9 @@
 // Client-facing routing and repair orchestration for the cluster tier.
 //
 // The coordinator owns the Placement, routes writes to a primary node
-// (which computes parity on its own stripe service and fans chunks out
-// to their homes), serves reads — degraded reads go to the target's
+// (which computes parity with its own cached codec on the RPC's thread
+// — each node's codec cache is its per-node planner — and fans chunks
+// out to their homes), serves reads — degraded reads go to the target's
 // LRC local group FIRST and only fall back to a global reconstruction
 // when the group cannot help — and runs the scrub/rebuild
 // orchestrator: background integrity passes and membership-change

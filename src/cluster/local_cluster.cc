@@ -34,7 +34,6 @@ LocalCluster::LocalCluster(LocalClusterConfig cfg)
       dir += std::to_string(i);
       nc.data_dir = cfg_.data_root / dir;
     }
-    nc.service_threads = cfg_.service_threads;
     nodes_.push_back(std::make_unique<Node>(nc, &transport_));
   }
   CoordinatorConfig cc;

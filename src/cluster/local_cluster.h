@@ -1,8 +1,11 @@
 // In-process cluster harness: N cluster::Node instances over one
 // deterministic LoopbackTransport plus a Coordinator wired to them —
-// the fixture the chaos suite, the CLI's --cluster-nodes mode and the
-// cluster bench sweep all stand on. kill/revive/partition/heal forward
-// to the transport so a seeded chaos schedule drives real RPC paths.
+// the fixture the chaos suite, the CLI's --cluster-nodes mode and
+// dialga_bench's cluster_rw workload all stand on. kill/revive/
+// partition/heal forward to the transport so a seeded chaos schedule
+// drives real RPC paths. Building a cluster starts no thread: every
+// RPC, and the codec call a node makes for it, runs on the caller's
+// thread, and each node's own codec cache is its per-node planner.
 //
 // ClusterManifest makes the CLI's cluster durable across process
 // invocations: a small key=value file next to the node directories
@@ -37,6 +40,9 @@ struct LocalClusterConfig {
   double rate_burst_bytes = 0.0;
   svc::RetryPolicy store_retry{.max_retries = 2};
   VirtualTime time = VirtualTime::Real();
+  /// Has no effect: nodes run their codecs on the RPC's thread and
+  /// start no workers. Kept only so existing callers that set it still
+  /// build; it goes once they stop.
   std::size_t service_threads = 2;
 };
 

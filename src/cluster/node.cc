@@ -54,10 +54,6 @@ bool ValidGeomFrame(const Frame& req) {
 
 Node::Node(NodeConfig cfg, LoopbackTransport* transport)
     : cfg_(std::move(cfg)), transport_(transport) {
-  svc::StripeService::Config scfg;
-  scfg.queue_capacity = cfg_.service_queue;
-  scfg.pool_threads = cfg_.service_threads;
-  service_ = std::make_unique<svc::StripeService>(std::move(scfg));
   if (!cfg_.data_dir.empty()) LoadDir();
   if (transport_ != nullptr) {
     transport_->register_handler(
@@ -69,7 +65,6 @@ Node::Node(NodeConfig cfg, LoopbackTransport* transport)
 
 Node::~Node() {
   if (transport_ != nullptr) transport_->unregister_handler(cfg_.id);
-  service_->shutdown(svc::StripeService::Drain::kDrain);
 }
 
 std::filesystem::path Node::ChunkPath(std::uint64_t stripe,
@@ -204,25 +199,6 @@ const ec::Codec& Node::CodecFor(const Geometry& geom) {
   return *it->second;
 }
 
-bool Node::EncodeStripe(const Geometry& geom,
-                        const std::vector<const std::byte*>& data,
-                        const std::vector<std::byte*>& parity) {
-  const ec::Codec& codec = CodecFor(geom);
-  svc::EncodeRequest req;
-  req.shape = {geom.k, geom.global + geom.local, geom.block_size};
-  req.data = data;
-  req.parity = parity;
-  req.codec = &codec;
-  auto fut = service_->submit(std::move(req));
-  const svc::Result r = fut.get();
-  if (r.ok()) return true;
-  if (!svc::IsRejection(r.status)) return false;
-  // Saturated service: shed to the serial path rather than fail.
-  codec.encode(geom.block_size, std::span<const std::byte* const>(data),
-               std::span<std::byte* const>(parity));
-  return true;
-}
-
 WireStatus Node::FetchRemote(const Frame& ctx, std::uint32_t shard,
                              std::vector<std::byte>* out) {
   if (shard >= ctx.placement.size()) return WireStatus::kBadRequest;
@@ -301,20 +277,9 @@ WireStatus Node::Reconstruct(const Frame& ctx, std::uint32_t target,
   }
   if (total - erasures.size() < geom.k) return WireStatus::kUnrecoverable;
 
-  const ec::Codec& codec = CodecFor(geom);
-  svc::DecodeRequest req;
-  req.shape = {geom.k, geom.global + geom.local, bs};
-  req.blocks = blocks;
-  req.erasures = erasures;
-  req.codec = &codec;
-  auto fut = service_->submit(std::move(req));
-  const svc::Result r = fut.get();
-  if (!r.ok()) {
-    if (!svc::IsRejection(r.status)) return WireStatus::kUnrecoverable;
-    if (!codec.decode(bs, std::span<std::byte* const>(blocks),
-                      std::span<const std::size_t>(erasures))) {
-      return WireStatus::kUnrecoverable;
-    }
+  if (!CodecFor(geom).decode(bs, std::span<std::byte* const>(blocks),
+                             std::span<const std::size_t>(erasures))) {
+    return WireStatus::kUnrecoverable;
   }
   *out = std::move(buffers[target]);
   *scope = 1;  // global
@@ -373,9 +338,9 @@ Frame Node::HandleEncode(Frame&& req) {
     parity_bufs[j].assign(geom.block_size, std::byte{0});
     parity[j] = parity_bufs[j].data();
   }
-  if (!EncodeStripe(geom, data, parity)) {
-    return MakeResp(req, MsgType::kEncodeResp, WireStatus::kBadRequest);
-  }
+  CodecFor(geom).encode(geom.block_size,
+                        std::span<const std::byte* const>(data),
+                        std::span<std::byte* const>(parity));
 
   // Fan the k + m chunks out to their homes (self included). Each
   // payload is moved into its store frame; this node's own chunk is

@@ -1,10 +1,12 @@
 // One storage node of the cluster tier: a checksummed chunk store
 // (memory-resident, optionally persisted through the aio datapath)
-// plus the single-node compute stack — its OWN svc::StripeService and
-// its own DIALGA-planned codecs, so each node's prefetcher scheduling
-// adapts to that node's pressure independently (the POWER7
-// runtime-guided-reconfiguration argument: per-node planners, not one
-// global setting).
+// plus the node's own codecs. A node runs its codec on the thread that
+// runs the RPC handler: encode and global decode are one direct call,
+// with no queue or worker handoff in between. Its per-geometry codec
+// cache is the per-node planner: plain RS geometries get the node's own
+// DialgaCodec, so each node's prefetcher scheduling is its own (the
+// POWER7 runtime-guided-reconfiguration argument: per-node planners,
+// not one global setting).
 //
 // Nodes are placement-agnostic: every RPC that needs to reach peers
 // (encode fan-out, local-group gathering) carries the stripe's
@@ -17,6 +19,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/placement.h"
@@ -24,7 +28,6 @@
 #include "cluster/wire.h"
 #include "ec/codec.h"
 #include "integrity/checksum.h"
-#include "svc/stripe_service.h"
 
 namespace cluster {
 
@@ -35,15 +38,12 @@ struct NodeConfig {
   /// disk are loaded (and checksum-verified) at construction, so a
   /// node restarted over an existing directory serves its old chunks.
   std::filesystem::path data_dir;
-  /// Worker threads of the node's stripe service.
-  std::size_t service_threads = 2;
-  std::size_t service_queue = 256;
 };
 
 class Node {
  public:
   /// Registers the node's RPC handler with `transport` (must outlive
-  /// the node); the destructor unregisters it and drains the service.
+  /// the node); the destructor unregisters it.
   Node(NodeConfig cfg, LoopbackTransport* transport);
   ~Node();
 
@@ -67,8 +67,6 @@ class Node {
   /// rot for scrub tests. False when the chunk is absent.
   bool corrupt_chunk(std::uint64_t stripe, std::uint32_t shard);
   bool drop_chunk(std::uint64_t stripe, std::uint32_t shard);
-
-  svc::ServiceStats service_stats() const { return service_->stats(); }
 
  private:
   struct Chunk {
@@ -96,13 +94,6 @@ class Node {
   WireStatus FetchRemote(const Frame& ctx, std::uint32_t shard,
                          std::vector<std::byte>* out);
 
-  /// Encode k data blocks through the node's stripe service (serial
-  /// codec fallback on rejection). Parity pointers must be sized for
-  /// the geometry's full parity count.
-  bool EncodeStripe(const Geometry& geom,
-                    const std::vector<const std::byte*>& data,
-                    const std::vector<std::byte*>& parity);
-
   /// Reconstruct one shard of a stripe: local-group XOR when the
   /// geometry has groups and every other member is reachable (scope
   /// set to 0), full decode over >= k survivors otherwise (scope 1).
@@ -119,7 +110,6 @@ class Node {
 
   NodeConfig cfg_;
   LoopbackTransport* transport_;
-  std::unique_ptr<svc::StripeService> service_;
 
   mutable std::mutex mu_;
   std::map<Key, Chunk> chunks_;  // guarded by mu_

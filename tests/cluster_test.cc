@@ -3,8 +3,10 @@
 // degraded-read scope ordering (local group before global parity),
 // scrub repair of dropped and bit-rotted chunks, membership-change
 // rebalancing, the token-bucket rate limiter in virtual time, the
-// cluster manifest, per-node fault-site routing, and the persisted
-// chunk format (pinned bytes; "DIALGA1" chunks fail closed).
+// cluster manifest, per-node fault-site routing, the persisted chunk
+// format (pinned bytes; "DIALGA1" chunks fail closed), and nodes that
+// run their codecs on the caller's thread: a cluster starts no thread,
+// and clients on several threads share one cluster bit-exactly.
 #include "cluster/local_cluster.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +17,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "cluster/coordinator.h"
@@ -592,6 +597,94 @@ TEST_F(ClusterTest, Dialga1ChunkIsNotLoadedAndScrubRestoresIt) {
   // Rewritten by scrub in today's format (the magic's 8 LE bytes).
   EXPECT_TRUE(ReadAll(chunk).ends_with("DIALAGA2"));
   fs::remove_all(root);
+}
+
+// Entries of /proc/self/task: this process's threads, or nullopt
+// where the kernel does not expose them.
+std::optional<std::size_t> ThreadCount() {
+  std::error_code ec;
+  fs::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  return static_cast<std::size_t>(
+      std::distance(it, fs::directory_iterator{}));
+}
+
+// A node runs its codec on the thread that carries the RPC, so a
+// whole cluster, through a write, a read and a degraded read, starts
+// no thread at all.
+TEST_F(ClusterTest, LocalClusterStartsNoThreads) {
+  const std::optional<std::size_t> before = ThreadCount();
+  if (!before) GTEST_SKIP() << "/proc/self/task is not available";
+  {
+    LocalCluster c(Cfg(9, 3, kLrc));
+    const auto data = MakeStripe(kLrc, 41);
+    const auto ptrs = Ptrs(data);
+    ASSERT_TRUE(c.coordinator()
+                    .write_stripe(3, std::span<const std::byte* const>(ptrs))
+                    .ok());
+    std::vector<std::byte> out;
+    ASSERT_EQ(c.coordinator().read_block(3, 1, &out).code,
+              OpResult::Code::kOk);
+    EXPECT_EQ(out, data[1]);
+    c.kill(c.placement().table(3, kLrc)[1] - 1);
+    ASSERT_EQ(c.coordinator().read_block(3, 1, &out).code,
+              OpResult::Code::kDegraded);
+    EXPECT_EQ(out, data[1]);
+    EXPECT_EQ(ThreadCount(), before);
+  }
+  EXPECT_EQ(ThreadCount(), before);
+}
+
+// Four client threads share one RS and one LRC cluster, so each node's
+// codec cache and codecs serve several callers at once. Every thread
+// writes, reads and degraded-reads only its own stripes, and degrades
+// a read by dropping one of its own chunks rather than killing a node,
+// so no thread can change what another reads.
+TEST_F(ClusterTest, ConcurrentClientsStayBitExact) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kStripesPerThread = 12;
+  LocalCluster rs(Cfg(6, 0, kRs));
+  LocalCluster lrc(Cfg(9, 3, kLrc));
+  auto client = [](LocalCluster& c, const Geometry& g, std::size_t t) {
+    for (std::uint64_t i = 0; i < kStripesPerThread; ++i) {
+      const std::uint64_t s = t * 1000 + i;
+      const auto data = MakeStripe(g, 7000 + s);
+      const auto ptrs = Ptrs(data);
+      ASSERT_EQ(c.coordinator()
+                    .write_stripe(s, std::span<const std::byte* const>(ptrs))
+                    .code,
+                OpResult::Code::kOk)
+          << "stripe " << s;
+      std::vector<std::vector<std::byte>> out(
+          g.k, std::vector<std::byte>(g.block_size));
+      std::vector<std::byte*> outp;
+      for (auto& b : out) outp.push_back(b.data());
+      ASSERT_EQ(c.coordinator()
+                    .read_stripe(s, std::span<std::byte* const>(outp))
+                    .code,
+                OpResult::Code::kOk)
+          << "stripe " << s;
+      EXPECT_EQ(out, data) << "stripe " << s;
+      const std::uint32_t lost = static_cast<std::uint32_t>(i % g.k);
+      ASSERT_TRUE(
+          c.node(c.placement().table(s, g)[lost] - 1).drop_chunk(s, lost));
+      std::vector<std::byte> block;
+      ASSERT_EQ(c.coordinator().read_block(s, lost, &block).code,
+                OpResult::Code::kDegraded)
+          << "stripe " << s;
+      EXPECT_EQ(block, data[lost]) << "stripe " << s;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      client(rs, kRs, t);
+      client(lrc, kLrc, t);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(rs.coordinator().tracked(), kThreads * kStripesPerThread);
+  EXPECT_EQ(lrc.coordinator().tracked(), kThreads * kStripesPerThread);
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 // tool exited 5 and 6 — and this test is what keeps that from
 // happening again: adding an exit code without updating both tables
 // fails here, not in a user's script. The real binary then pins the
-// usage exit for malformed or out-of-range option values, and that a
-// repeated encode leaves no spare shard files behind.
+// usage exit for malformed or out-of-range option values and for flags
+// the command's mode does not read, and that a repeated encode leaves
+// no spare shard files behind.
 #include "cli/eccli_usage.h"
 
 #include <unistd.h>
@@ -136,6 +137,81 @@ TEST(EccliArgs, MalformedOrOutOfRangeValuesAreUsageErrors) {
   EXPECT_EQ(RunEccli("encode --k 8 --m 3 " + files, &out), cli::kExitOk)
       << out;
   EXPECT_TRUE(fs::exists(shards / "manifest.txt"));
+  fs::remove_all(dir);
+}
+
+// Each mode reads only its own flags. With --cluster-nodes the stripe
+// service's flags would do nothing (a cluster node runs its codec on
+// the RPC's thread), and without it --local and --domains would do
+// nothing; each such command line exits 2 with a one-line reason that
+// names the flag, before any file is touched. The same flags in their
+// own mode still run.
+TEST(EccliArgs, FlagsTheModeDoesNotReadAreUsageErrors) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dialga_eccli_mode_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::ofstream(dir / "in.bin", std::ios::binary) << std::string(5000, 'x');
+  const fs::path shards = dir / "shards";
+  const fs::path out_file = dir / "out.bin";
+  const std::string files = (dir / "in.bin").string() + " " + shards.string();
+
+  struct Case {
+    const char* flags;
+    const char* named;
+  };
+  const Case refused[] = {
+      {"--cluster-nodes 9 --serial", "--serial"},
+      {"--cluster-nodes 9 --threads 2", "--threads"},
+      {"--cluster-nodes 9 --qos", "--qos"},
+      {"--cluster-nodes 9 --deadline-ms 100", "--deadline-ms"},
+      {"--cluster-nodes 9 --retries 1", "--retries"},
+      {"--local 2", "--local"},
+      {"--domains 3", "--domains"},
+      {"--domains 0", "--domains"},
+      {"--cluster-nodes 0 --local 2", "--local"},
+  };
+  auto expect_refused = [](const std::string& args, const char* named) {
+    SCOPED_TRACE(args);
+    std::string out;
+    EXPECT_EQ(RunEccli(args, &out), cli::kExitUsage) << out;
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1) << out;
+    EXPECT_NE(out.find(named), std::string::npos) << out;
+  };
+  for (const Case& c : refused) {
+    expect_refused(std::string("encode --k 4 --m 2 ") + c.flags + " " + files,
+                   c.named);
+    EXPECT_FALSE(fs::exists(shards));
+  }
+
+  std::string out;
+  ASSERT_EQ(RunEccli("encode --k 4 --m 2 --threads 2 --retries 1 " + files,
+                     &out),
+            cli::kExitOk)
+      << out;
+  expect_refused("decode " + shards.string() + " " + out_file.string() +
+                     " --local 2",
+                 "--local");
+  EXPECT_FALSE(fs::exists(out_file));
+  fs::remove_all(shards);
+
+  ASSERT_EQ(RunEccli("encode --cluster-nodes 9 --k 4 --m 2 --local 2 "
+                     "--domains 3 " + files,
+                     &out),
+            cli::kExitOk)
+      << out;
+  expect_refused("decode " + shards.string() + " " + out_file.string() +
+                     " --cluster-nodes 9 --threads 2",
+                 "--threads");
+  EXPECT_FALSE(fs::exists(out_file));
+  ASSERT_EQ(RunEccli("decode " + shards.string() + " " + out_file.string() +
+                         " --cluster-nodes 9",
+                     &out),
+            cli::kExitOk)
+      << out;
+  std::ifstream in(out_file, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+            std::string(5000, 'x'));
   fs::remove_all(dir);
 }
 

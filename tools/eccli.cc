@@ -17,7 +17,10 @@
 // cluster of N storage nodes (consistent-hash placement, RPC wire
 // format, degraded reads, scrub repair) persisted under
 // <shard-dir>/n<i>; a cluster.txt manifest makes encode/decode/repair
-// work across separate invocations.
+// work across separate invocations. Each mode reads only its own
+// flags: the stripe service's (--serial, --threads, --qos,
+// --deadline-ms, --retries) with --cluster-nodes, or --local and
+// --domains without it, are a usage error rather than ignored.
 //
 // Exit codes (see --help): 0 success, 1 damaged, 2 usage, 3 I/O,
 // 4 deadline exceeded / retry budget exhausted, 5 cluster quorum loss,
@@ -27,9 +30,11 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -85,6 +90,7 @@ struct Options {
   std::size_t cluster_nodes = 0;  // 0 = single-process shard store
   std::size_t local = 0;          // LRC local parities (cluster mode)
   std::size_t domains = 0;        // failure domains (0 = one per node)
+  std::set<std::string, std::less<>> given;  // every "--" flag seen
   std::vector<std::string> positional;
 };
 
@@ -102,6 +108,7 @@ std::optional<std::size_t> ParseCount(std::string_view text) {
 bool Parse(int argc, char** argv, Options* opt) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg.starts_with("--")) opt->given.insert(arg);
     auto next_value = [&](std::size_t* out) {
       if (i + 1 >= argc) return false;
       const std::optional<std::size_t> value = ParseCount(argv[++i]);
@@ -179,6 +186,31 @@ bool ValidGeometry(const Options& opt) {
   return opt.k >= 1 && opt.m >= 1 && opt.k <= gf::kFieldSize &&
          opt.m <= gf::kFieldSize - opt.k && opt.block >= 1 &&
          opt.block <= kMaxBlock;
+}
+
+/// Flags only one mode reads: the stripe service's knobs belong to the
+/// single-process store, the cluster layout to --cluster-nodes.
+constexpr std::string_view kStoreOnlyFlags[] = {
+    "--serial", "--threads", "--qos", "--deadline-ms", "--retries"};
+constexpr std::string_view kClusterOnlyFlags[] = {"--local", "--domains"};
+
+/// A flag the command's mode would silently ignore, as a one-line
+/// reason; empty when every given flag is read.
+std::string IgnoredFlag(const Options& opt) {
+  if (opt.cluster_nodes > 0) {
+    for (const std::string_view flag : kStoreOnlyFlags) {
+      if (opt.given.contains(flag)) {
+        return std::string(flag) + " has no effect with --cluster-nodes";
+      }
+    }
+    return {};
+  }
+  for (const std::string_view flag : kClusterOnlyFlags) {
+    if (opt.given.contains(flag)) {
+      return std::string(flag) + " needs --cluster-nodes N (N >= 1)";
+    }
+  }
+  return {};
 }
 
 /// The manifest pins (k, m); commands other than encode read it so the
@@ -298,7 +330,6 @@ int RunClusterCommand(const std::string& cmd, const Options& opt) {
     cfg.domains = opt.domains;
     cfg.geom = geom;
     cfg.data_root = dir;
-    cfg.service_threads = opt.threads == 0 ? 2 : opt.threads;
     cluster::LocalCluster c(std::move(cfg));
 
     cluster::ClusterManifest mf;
@@ -613,6 +644,10 @@ int main(int argc, char** argv) {
               << " block=" << opt.block
               << " (need k, m >= 1, k + m <= " << gf::kFieldSize
               << ", 1 <= block <= 1073741824)\n";
+    return kExitUsage;
+  }
+  if (const std::string ignored = IgnoredFlag(opt); !ignored.empty()) {
+    std::cerr << "eccli: " << ignored << "\n";
     return kExitUsage;
   }
   // `eccli --fault-plan-dump [...]` works without a subcommand.
