@@ -8,9 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "fault/injector.h"
@@ -22,11 +19,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Sub-op granularity: large enough to amortize per-op cost, small
-/// enough that a 128-deep ring keeps many in flight per shard file.
-constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
-constexpr unsigned kRingEntries = 128;
-/// Transient (EINTR/EAGAIN) resubmits per operation before giving up.
+/// Transient (EINTR/EAGAIN) retries per operation before giving up.
 constexpr int kTransientBudget = 1024;
 
 int FireSite(const char* site) {
@@ -37,40 +30,20 @@ bool FiresSite(const char* site) {
 }
 
 struct DpMetrics {
-  obs::Counter& read_bytes_stdio;
-  obs::Counter& read_bytes_uring;
-  obs::Counter& write_bytes_stdio;
-  obs::Counter& write_bytes_uring;
+  obs::Counter& read_bytes;
+  obs::Counter& write_bytes;
   obs::Counter& ops_read;
   obs::Counter& ops_write;
-  obs::Counter& fallbacks;
-
-  obs::Counter& bytes(Backend b, bool write) {
-    if (write) {
-      return b == Backend::kUring ? write_bytes_uring : write_bytes_stdio;
-    }
-    return b == Backend::kUring ? read_bytes_uring : read_bytes_stdio;
-  }
 
   static DpMetrics& Get() {
     auto& reg = obs::Registry::Global();
-    // All label combinations registered eagerly so exporters see every
-    // series from the first scrape, whichever backend actually ran.
     static DpMetrics m{
-        reg.counter("dialga_aio_bytes_total",
-                    {{"backend", "stdio"}, {"op", "read"}},
+        reg.counter("dialga_aio_bytes_total", {{"op", "read"}},
                     "Bytes moved through the file datapath"),
-        reg.counter("dialga_aio_bytes_total",
-                    {{"backend", "uring"}, {"op", "read"}}),
-        reg.counter("dialga_aio_bytes_total",
-                    {{"backend", "stdio"}, {"op", "write"}}),
-        reg.counter("dialga_aio_bytes_total",
-                    {{"backend", "uring"}, {"op", "write"}}),
+        reg.counter("dialga_aio_bytes_total", {{"op", "write"}}),
         reg.counter("dialga_aio_ops_total", {{"op", "read"}},
                     "Datapath operations (whole files or scatter sets)"),
         reg.counter("dialga_aio_ops_total", {{"op", "write"}}),
-        reg.counter("dialga_aio_fallback_total", {},
-                    "Times uring was requested/probed but stdio ran"),
     };
     return m;
   }
@@ -80,41 +53,6 @@ std::string ShortReadDetail(std::uint64_t got, std::uint64_t want,
                             std::uint64_t offset) {
   return "short read: got " + std::to_string(got) + " of " +
          std::to_string(want) + " bytes at offset " + std::to_string(offset);
-}
-
-/// Clean the ring for reuse before an error return: rewind SQEs the
-/// kernel never saw (they would otherwise ride along with the next
-/// operation's submit and complete with stale user_data, corrupting
-/// its accounting), then drain every submitted-but-unreaped completion
-/// so the kernel is done with the caller's buffers.
-void DrainRing(Ring* ring) {
-  ring->drop_unsubmitted();
-  std::vector<Completion> sink;
-  while (true) {
-    sink.clear();
-    if (ring->wait(1, &sink) <= 0) break;
-  }
-}
-
-/// One chunk of a segment, small enough for a single SQE.
-struct SubOp {
-  std::size_t seg = 0;
-  std::byte* buf = nullptr;
-  std::size_t len = 0;
-  std::uint64_t off = 0;
-};
-
-std::vector<SubOp> ChunkSegs(std::span<const Seg> segs) {
-  std::vector<SubOp> subs;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    const Seg& s = segs[i];
-    for (std::size_t done = 0; done < s.len;) {
-      const std::size_t n = std::min(kChunkBytes, s.len - done);
-      subs.push_back({i, s.buf + done, n, s.offset + done});
-      done += n;
-    }
-  }
-  return subs;
 }
 
 // ---------------------------------------------------------------------------
@@ -143,91 +81,43 @@ IoStatus PreadSeg(int fd, const Seg& seg, const FaultSites& sites) {
   return IoStatus::Ok();
 }
 
-IoStatus ReadSegsFd(Transfer& xfer, int fd, std::span<const Seg> segs,
-                    const FaultSites& sites,
-                    const std::function<void(std::size_t)>& on_segment) {
-  std::vector<std::size_t> remaining(segs.size());
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    remaining[i] = segs[i].len;
-    total += segs[i].len;
+/// open(path) for reading and consult sites.open; with `size`, also
+/// fstat the file into *size. Returns the descriptor, or -1 with *st
+/// set and nothing left open.
+int OpenRead(const fs::path& path, const FaultSites& sites,
+             std::uint64_t* size, IoStatus* st) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    *st = IoStatus::Error(errno, "cannot open");
+    return -1;
   }
-
-  Ring* ring = xfer.backend() == Backend::kUring ? xfer.ring() : nullptr;
-  if (ring == nullptr) {
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      if (IoStatus st = PreadSeg(fd, segs[i], sites); !st.ok()) return st;
-      DpMetrics::Get().bytes(Backend::kStdio, false).inc(segs[i].len);
-      if (on_segment) on_segment(i);
-    }
-    return IoStatus::Ok();
+  if (const int fe = FireSite(sites.open); fe != 0) {
+    ::close(fd);
+    *st = IoStatus::Error(fe, "cannot open");
+    return -1;
   }
-
-  std::vector<SubOp> subs = ChunkSegs(segs);
-  std::vector<std::size_t> pending(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) pending[i] = i;
-  std::size_t outstanding = 0;
-  int budget = kTransientBudget;
-  std::vector<Completion> cqes;
-
-  while (!pending.empty() || outstanding > 0) {
-    while (!pending.empty() && ring->sq_space() > 0) {
-      const std::size_t idx = pending.back();
-      const SubOp& s = subs[idx];
-      ring->queue_read(fd, s.buf, static_cast<unsigned>(s.len), s.off, idx,
-                       xfer.buf_index_for(s.buf, s.len));
-      pending.pop_back();
-      ++outstanding;
+  if (size != nullptr) {
+    struct ::stat sb;
+    if (::fstat(fd, &sb) < 0) {
+      *st = IoStatus::Error(errno, "cannot size");
+      ::close(fd);
+      return -1;
     }
-    if (int rc = ring->submit(); rc < 0) {
-      if ((rc == -EINTR || rc == -EAGAIN) && --budget >= 0) continue;
-      DrainRing(ring);
-      return IoStatus::Error(-rc, "aio submit failed");
-    }
-    cqes.clear();
-    if (int rc = ring->wait(1, &cqes); rc < 0) {
-      if ((rc == -EINTR || rc == -EAGAIN) && --budget >= 0) continue;
-      DrainRing(ring);
-      return IoStatus::Error(-rc, "aio completion wait failed");
-    }
-    for (const Completion& c : cqes) {
-      --outstanding;
-      SubOp& s = subs[c.user_data];
-      int injected = FireSite(sites.read);
-      if (c.res < 0 || injected != 0) {
-        const int e = injected != 0 ? injected : -c.res;
-        if ((e == EINTR || e == EAGAIN) && --budget >= 0) {
-          pending.push_back(static_cast<std::size_t>(c.user_data));
-          continue;
-        }
-        DrainRing(ring);
-        return IoStatus::Error(e, "read failed");
-      }
-      if (c.res == 0 || FiresSite(sites.short_read)) {
-        const std::size_t seg_done = segs[s.seg].len - remaining[s.seg];
-        DrainRing(ring);
-        return IoStatus::Error(
-            EIO, ShortReadDetail(seg_done, segs[s.seg].len,
-                                 segs[s.seg].offset));
-      }
-      const std::size_t got = static_cast<std::size_t>(c.res);
-      // Corruption drill: a completion whose DMA'd payload rotted in
-      // flight. Only this completion's bytes are touched, so the
-      // mutation is pinned to (seed, aio.cqe.corrupt, op#).
-      fault::MaybeCorrupt("aio.cqe.corrupt", s.buf, got);
-      remaining[s.seg] -= got;
-      if (got < s.len) {  // partial chunk: continue where it stopped
-        s.buf += got;
-        s.len -= got;
-        s.off += got;
-        pending.push_back(static_cast<std::size_t>(c.user_data));
-        continue;
-      }
-      if (remaining[s.seg] == 0 && on_segment) on_segment(s.seg);
-    }
+    *size = static_cast<std::uint64_t>(sb.st_size);
   }
-  DpMetrics::Get().bytes(Backend::kUring, false).inc(total);
-  return IoStatus::Ok();
+  return fd;
+}
+
+/// Read `dst`, the whole of the file behind `fd`, and close `fd`.
+IoStatus ReadWhole(int fd, std::span<std::byte> dst, const FaultSites& sites) {
+  const Seg seg{dst.data(), dst.size(), 0};
+  const IoStatus st = dst.empty() ? IoStatus::Ok() : PreadSeg(fd, seg, sites);
+  ::close(fd);
+  if (st.ok()) {
+    DpMetrics::Get().read_bytes.inc(dst.size());
+    DpMetrics::Get().ops_read.inc();
+  }
+  return st;
 }
 
 // ---------------------------------------------------------------------------
@@ -245,60 +135,6 @@ IoStatus PwriteAll(int fd, const std::byte* buf, std::size_t len,
       return IoStatus::Error(errno, "write failed");
     }
     done += static_cast<std::size_t>(n);
-  }
-  return IoStatus::Ok();
-}
-
-/// Write every sub-op through the ring, resubmitting transient errors
-/// and finishing short writes where they stopped.
-IoStatus WriteSegsFdUring(Transfer& xfer, Ring* ring, int fd,
-                          std::vector<SubOp> subs) {
-  std::vector<std::size_t> pending(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) pending[i] = i;
-  std::size_t outstanding = 0;
-  int budget = kTransientBudget;
-  std::vector<Completion> cqes;
-
-  while (!pending.empty() || outstanding > 0) {
-    while (!pending.empty() && ring->sq_space() > 0) {
-      const std::size_t idx = pending.back();
-      const SubOp& s = subs[idx];
-      ring->queue_write(fd, s.buf, static_cast<unsigned>(s.len), s.off, idx,
-                        xfer.buf_index_for(s.buf, s.len));
-      pending.pop_back();
-      ++outstanding;
-    }
-    if (int rc = ring->submit(); rc < 0) {
-      if ((rc == -EINTR || rc == -EAGAIN) && --budget >= 0) continue;
-      DrainRing(ring);
-      return IoStatus::Error(-rc, "aio submit failed");
-    }
-    cqes.clear();
-    if (int rc = ring->wait(1, &cqes); rc < 0) {
-      if ((rc == -EINTR || rc == -EAGAIN) && --budget >= 0) continue;
-      DrainRing(ring);
-      return IoStatus::Error(-rc, "aio completion wait failed");
-    }
-    for (const Completion& c : cqes) {
-      --outstanding;
-      SubOp& s = subs[c.user_data];
-      if (c.res < 0) {
-        const int e = -c.res;
-        if ((e == EINTR || e == EAGAIN) && --budget >= 0) {
-          pending.push_back(static_cast<std::size_t>(c.user_data));
-          continue;
-        }
-        DrainRing(ring);
-        return IoStatus::Error(e, "write failed");
-      }
-      const std::size_t put = static_cast<std::size_t>(c.res);
-      if (put < s.len) {  // short write: finish the remainder
-        s.buf += put;
-        s.len -= put;
-        s.off += put;
-        pending.push_back(static_cast<std::size_t>(c.user_data));
-      }
-    }
   }
   return IoStatus::Ok();
 }
@@ -412,7 +248,7 @@ int Publish(const fs::path& tmp, const fs::path& path, bool exchange,
 /// Size the temp behind `fd`, write `segs` into it, and start its
 /// write-back so the device works on this file while later files of
 /// the group are written.
-IoStatus FillTemp(Transfer& xfer, int fd, std::span<const Seg> segs) {
+IoStatus FillTemp(int fd, std::span<const Seg> segs) {
   std::uint64_t total = 0;
   std::uint64_t payload = 0;
   for (const Seg& s : segs) {
@@ -424,20 +260,12 @@ IoStatus FillTemp(Transfer& xfer, int fd, std::span<const Seg> segs) {
   if (::ftruncate(fd, static_cast<::off_t>(total)) < 0) {
     return IoStatus::Error(errno, "cannot size temp file");
   }
-  Ring* ring = xfer.backend() == Backend::kUring ? xfer.ring() : nullptr;
-  if (ring != nullptr) {
-    if (IoStatus st = WriteSegsFdUring(xfer, ring, fd, ChunkSegs(segs));
-        !st.ok()) {
+  for (const Seg& s : segs) {
+    if (IoStatus st = PwriteAll(fd, s.buf, s.len, s.offset); !st.ok()) {
       return st;
     }
-  } else {
-    for (const Seg& s : segs) {
-      if (IoStatus st = PwriteAll(fd, s.buf, s.len, s.offset); !st.ok()) {
-        return st;
-      }
-    }
   }
-  DpMetrics::Get().bytes(xfer.backend(), true).inc(payload);
+  DpMetrics::Get().write_bytes.inc(payload);
   DpMetrics::Get().ops_write.inc();
 #if defined(__linux__)
   // A hint only: fsync decides durability, so its error is ignored.
@@ -446,140 +274,19 @@ IoStatus FillTemp(Transfer& xfer, int fd, std::span<const Seg> segs) {
   return IoStatus::Ok();
 }
 
-std::atomic<bool> g_warned_forced_uring{false};
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Mode / backend selection.
-
-std::optional<Mode> ParseMode(std::string_view s) {
-  if (s == "auto") return Mode::kAuto;
-  if (s == "stdio") return Mode::kStdio;
-  if (s == "uring" || s == "io_uring") return Mode::kUring;
-  return std::nullopt;
-}
-
-const char* ModeName(Mode m) {
-  switch (m) {
-    case Mode::kStdio:
-      return "stdio";
-    case Mode::kUring:
-      return "uring";
-    default:
-      return "auto";
-  }
-}
-
-Mode ModeFromEnv() {
-  const char* v = std::getenv("DIALGA_AIO");
-  if (v == nullptr || *v == '\0') return Mode::kAuto;
-  if (const auto m = ParseMode(v)) return *m;
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "dialga: DIALGA_AIO '%s' not recognized "
-                 "(stdio|uring|auto); using auto\n",
-                 v);
-  }
-  return Mode::kAuto;
-}
-
-Backend SelectBackend(Mode m) {
-  DpMetrics::Get();  // eager registration, whichever backend runs
-  switch (m) {
-    case Mode::kStdio:
-      return Backend::kStdio;
-    case Mode::kUring:
-      if (Ring::KernelSupported()) return Backend::kUring;
-      if (!g_warned_forced_uring.exchange(true)) {
-        std::fprintf(stderr,
-                     "dialga: io_uring unavailable on this kernel; "
-                     "falling back to the stdio datapath\n");
-      }
-      DpMetrics::Get().fallbacks.inc();
-      return Backend::kStdio;
-    default:
-      if (Ring::KernelSupported()) return Backend::kUring;
-      DpMetrics::Get().fallbacks.inc();
-      return Backend::kStdio;
-  }
-}
-
-const char* BackendName(Backend b) {
-  return b == Backend::kUring ? "uring" : "stdio";
-}
-
-// ---------------------------------------------------------------------------
-// Transfer.
-
-Transfer::Transfer(Backend backend, std::span<const iovec> registered)
-    : backend_(backend),
-      registered_(registered.begin(), registered.end()) {
-  DpMetrics::Get();
-}
-
-Ring* Transfer::ring() {
-  if (backend_ != Backend::kUring) return nullptr;
-  if (!ring_tried_) {
-    ring_tried_ = true;
-    ring_ = Ring::Create(kRingEntries);
-    if (ring_ == nullptr) {
-      backend_ = Backend::kStdio;  // degrade this transfer, keep going
-      DpMetrics::Get().fallbacks.inc();
-      return nullptr;
-    }
-    if (!registered_.empty()) {
-      // Registration failure (RLIMIT_MEMLOCK) is non-fatal: ops simply
-      // run unfixed; buf_index_for answers -1 from here on.
-      if (!ring_->register_buffers(registered_.data(),
-                                   static_cast<unsigned>(
-                                       registered_.size()))) {
-        registered_.clear();
-      }
-    }
-  }
-  return ring_.get();
-}
-
-int Transfer::buf_index_for(const void* p, std::size_t len) const {
-  if (ring_ == nullptr || !ring_->buffers_registered()) return -1;
-  const auto* b = static_cast<const std::byte*>(p);
-  for (std::size_t i = 0; i < registered_.size(); ++i) {
-    const auto* base = static_cast<const std::byte*>(registered_[i].iov_base);
-    if (b >= base && b + len <= base + registered_[i].iov_len) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
 
 // ---------------------------------------------------------------------------
 // Entry points.
 
 IoStatus ReadFileFull(const fs::path& path, std::vector<std::byte>* out,
                       const FaultSites& sites) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return IoStatus::Error(errno, "cannot open");
-  if (const int fe = FireSite(sites.open); fe != 0) {
-    ::close(fd);
-    return IoStatus::Error(fe, "cannot open");
-  }
-  struct ::stat st;
-  if (::fstat(fd, &st) < 0) {
-    const int e = errno;
-    ::close(fd);
-    return IoStatus::Error(e, "cannot size");
-  }
-  out->resize(static_cast<std::size_t>(st.st_size));
-  const Seg seg{out->data(), out->size(), 0};
-  IoStatus r = out->empty() ? IoStatus::Ok() : PreadSeg(fd, seg, sites);
-  ::close(fd);
-  if (r.ok()) {
-    DpMetrics::Get().bytes(Backend::kStdio, false).inc(out->size());
-    DpMetrics::Get().ops_read.inc();
-  }
-  return r;
+  IoStatus st;
+  std::uint64_t size = 0;
+  const int fd = OpenRead(path, sites, &size, &st);
+  if (fd < 0) return st;
+  out->resize(static_cast<std::size_t>(size));
+  return ReadWhole(fd, *out, sites);
 }
 
 IoStatus StatSize(const fs::path& path, std::uint64_t* size) {
@@ -591,61 +298,46 @@ IoStatus StatSize(const fs::path& path, std::uint64_t* size) {
   return IoStatus::Ok();
 }
 
-IoStatus ReadFileExact(Transfer& xfer, const fs::path& path,
-                       std::span<std::byte> dst, const FaultSites& sites) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return IoStatus::Error(errno, "cannot open");
-  if (const int fe = FireSite(sites.open); fe != 0) {
-    ::close(fd);
-    return IoStatus::Error(fe, "cannot open");
-  }
-  struct ::stat st;
-  if (::fstat(fd, &st) < 0) {
-    const int e = errno;
-    ::close(fd);
-    return IoStatus::Error(e, "cannot size");
-  }
-  if (static_cast<std::uint64_t>(st.st_size) != dst.size()) {
+IoStatus ReadFileExact(const fs::path& path, std::span<std::byte> dst,
+                       const FaultSites& sites) {
+  IoStatus st;
+  std::uint64_t size = 0;
+  const int fd = OpenRead(path, sites, &size, &st);
+  if (fd < 0) return st;
+  if (size != dst.size()) {
     ::close(fd);
     return IoStatus::Error(EIO, "size mismatch: file holds " +
-                                    std::to_string(st.st_size) +
+                                    std::to_string(size) +
                                     " bytes, expected " +
                                     std::to_string(dst.size()));
   }
-  const Seg seg{dst.data(), dst.size(), 0};
-  IoStatus r = dst.empty()
-                   ? IoStatus::Ok()
-                   : ReadSegsFd(xfer, fd, std::span<const Seg>(&seg, 1),
-                                sites, {});
-  ::close(fd);
-  if (r.ok()) {
-    DpMetrics::Get().ops_read.inc();
-    // Whole-payload corruption site: fires identically on both
-    // backends (one consult per successful exact read), so chaos
-    // schedules stay bit-identical across stdio and uring.
-    if (sites.corrupt != nullptr && !dst.empty()) {
-      fault::MaybeCorrupt(sites.corrupt, dst.data(), dst.size());
-    }
+  st = ReadWhole(fd, dst, sites);
+  // Whole-payload corruption site: one consult per successful exact
+  // read, so a seeded schedule replays the same mutations.
+  if (st.ok() && sites.corrupt != nullptr && !dst.empty()) {
+    fault::MaybeCorrupt(sites.corrupt, dst.data(), dst.size());
   }
-  return r;
+  return st;
 }
 
-IoStatus ReadScatter(Transfer& xfer, const fs::path& path,
-                     std::span<const Seg> segs, const FaultSites& sites,
+IoStatus ReadScatter(const fs::path& path, std::span<const Seg> segs,
+                     const FaultSites& sites,
                      const std::function<void(std::size_t)>& on_segment) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return IoStatus::Error(errno, "cannot open");
-  if (const int fe = FireSite(sites.open); fe != 0) {
-    ::close(fd);
-    return IoStatus::Error(fe, "cannot open");
+  IoStatus st;
+  const int fd = OpenRead(path, sites, nullptr, &st);
+  if (fd < 0) return st;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    st = PreadSeg(fd, segs[i], sites);
+    if (!st.ok()) break;
+    DpMetrics::Get().read_bytes.inc(segs[i].len);
+    if (on_segment) on_segment(i);
   }
-  IoStatus r = ReadSegsFd(xfer, fd, segs, sites, on_segment);
   ::close(fd);
-  if (r.ok()) DpMetrics::Get().ops_read.inc();
-  return r;
+  if (st.ok()) DpMetrics::Get().ops_read.inc();
+  return st;
 }
 
-IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
+IoStatus WriteFilesDurable(std::span<const DurableFile> files,
                            const FaultSites& sites, bool sync_parent,
                            std::size_t* failed,
                            std::vector<fs::path>* spares) {
@@ -682,7 +374,7 @@ IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
       }
     }
     temps.push_back(std::move(tmp));
-    const IoStatus st = FillTemp(xfer, fd, files[i].segs);
+    const IoStatus st = FillTemp(fd, files[i].segs);
     ::close(fd);
     if (!st.ok()) return fail(i, st);
     // The injected failure lands before durability is declared, so a
@@ -737,21 +429,20 @@ IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
   return IoStatus::Ok();
 }
 
-IoStatus WriteFileDurable(Transfer& xfer, const fs::path& path,
+IoStatus WriteFileDurable(const fs::path& path,
                           std::span<const std::byte> data,
                           const FaultSites& sites, bool sync_parent) {
   const Seg seg{const_cast<std::byte*>(data.data()), data.size(), 0};
-  return WriteGatherDurable(xfer, path,
+  return WriteGatherDurable(path,
                             data.empty() ? std::span<const Seg>{}
                                          : std::span<const Seg>(&seg, 1),
                             sites, sync_parent);
 }
 
-IoStatus WriteGatherDurable(Transfer& xfer, const fs::path& path,
-                            std::span<const Seg> segs,
+IoStatus WriteGatherDurable(const fs::path& path, std::span<const Seg> segs,
                             const FaultSites& sites, bool sync_parent) {
   const DurableFile file{path, segs};
-  return WriteFilesDurable(xfer, std::span<const DurableFile>(&file, 1), sites,
+  return WriteFilesDurable(std::span<const DurableFile>(&file, 1), sites,
                            sync_parent);
 }
 

@@ -1,18 +1,7 @@
-// File datapath with two interchangeable backends producing
-// bit-identical results:
-//
-//   uring   io_uring (aio/ring.h): chunked reads/writes pipelined at
-//           ring depth, registered (pinned) buffers when the caller
-//           supplies them
-//   stdio   plain POSIX pread/pwrite bounded loops — the portable
-//           fallback, and the reference the uring path is differential-
-//           tested against
-//
-// Selection: DIALGA_AIO=uring|stdio|auto (default auto) or an explicit
-// Mode from the caller (eccli --aio). `auto` probes the kernel once
-// and degrades cleanly to stdio; a *forced* uring on an io_uring-less
-// kernel also degrades (with a one-time stderr warning) rather than
-// failing — mirroring the --isa clamp behaviour.
+// File datapath: every shard, manifest, chunk and output file moves
+// through plain POSIX pread/pwrite bounded loops on buffered
+// page-cache I/O. Nothing opens a file O_DIRECT, so there is no copy
+// for a submission ring or pinned buffers to save.
 //
 // Correctness contract (the bugfixes this layer bakes in):
 //   * reads size with fstat and loop until the byte count is satisfied
@@ -29,38 +18,21 @@
 //     no generation's blocks and pages are freed and reallocated.
 //
 // Fault injection: callers name their sites via FaultSites (the shard
-// store passes shard.open/shard.read/shard.short_read/shard.write so
-// existing chaos schedules keep working on both backends); the ring
-// adds aio.submit / aio.cqe underneath the uring backend.
+// store passes shard.open/shard.read/shard.short_read/shard.write and
+// shard.read.corrupt).
 #pragma once
 
-#include <sys/uio.h>
-
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "aio/ring.h"
-
 namespace aio {
-
-enum class Mode { kAuto, kStdio, kUring };
-enum class Backend { kStdio, kUring };
-
-std::optional<Mode> ParseMode(std::string_view s);
-const char* ModeName(Mode m);
-/// DIALGA_AIO, parsed once per call; unset or unparseable → kAuto
-/// (unparseable warns on stderr).
-Mode ModeFromEnv();
-Backend SelectBackend(Mode m);
-const char* BackendName(Backend b);
 
 /// Outcome of one datapath operation. err is a real errno from the
 /// failing syscall (or the injected one); detail says which step.
@@ -85,9 +57,7 @@ struct Seg {
 /// Caller-named fault-injection sites (nullptr = site not consulted).
 /// `corrupt` is a corruption-mode site (corrupt= plans): consulted once
 /// per successful ReadFileExact, it mutates the returned payload — the
-/// defense-in-depth drill for verify-on-read. The uring backend
-/// additionally consults the built-in aio.cqe.corrupt site per read
-/// completion, mutating that completion's bytes.
+/// defense-in-depth drill for verify-on-read.
 struct FaultSites {
   const char* open = nullptr;
   const char* read = nullptr;
@@ -96,34 +66,9 @@ struct FaultSites {
   const char* corrupt = nullptr;
 };
 
-/// Per-operation context: the chosen backend plus (for uring) one ring
-/// and the caller's registrable buffers. Creating the ring is lazy —
-/// a Transfer on the stdio backend costs nothing — and a ring-creation
-/// failure degrades this transfer to stdio instead of failing it.
-/// Not thread-safe; one Transfer per operation.
-class Transfer {
- public:
-  explicit Transfer(Backend backend, std::span<const iovec> registered = {});
-
-  /// Effective backend (may have degraded to stdio since construction).
-  Backend backend() const { return backend_; }
-  /// The ring, created (and buffers registered) on first use; nullptr
-  /// on the stdio backend.
-  Ring* ring();
-  /// Registered-buffer index containing [p, p+len), or -1.
-  int buf_index_for(const void* p, std::size_t len) const;
-
- private:
-  Backend backend_;
-  std::vector<iovec> registered_;
-  std::unique_ptr<Ring> ring_;
-  bool ring_tried_ = false;
-};
-
 /// Read a whole file: open → fstat → bounded read loop. Replaces the
 /// tellg-then-read sizing (which raced resizes and reported stale
-/// errno). Always the plain syscall path — manifests and other small
-/// files don't need a ring.
+/// errno).
 IoStatus ReadFileFull(const std::filesystem::path& path,
                       std::vector<std::byte>* out,
                       const FaultSites& sites = {});
@@ -134,21 +79,22 @@ IoStatus StatSize(const std::filesystem::path& path, std::uint64_t* size);
 /// Read a file whose size must equal dst.size() exactly (shard files
 /// have a manifest-known size; any mismatch is damage, reported as an
 /// explicit error, not a resized buffer).
-IoStatus ReadFileExact(Transfer& xfer, const std::filesystem::path& path,
+IoStatus ReadFileExact(const std::filesystem::path& path,
                        std::span<std::byte> dst,
                        const FaultSites& sites = {});
 
-/// Scatter-read `segs` of one file into caller buffers. on_segment(i)
-/// fires as each segment's last byte lands — the hook the shard store
-/// uses to overlap encode dispatch with the remaining reads. A file
-/// shorter than any segment requires is a short-read error.
-IoStatus ReadScatter(Transfer& xfer, const std::filesystem::path& path,
+/// Scatter-read `segs` of one file into caller buffers, in seg order.
+/// on_segment(i) fires as each segment's last byte lands — the hook the
+/// shard store uses to overlap encode dispatch with the remaining
+/// reads. A file shorter than any segment requires is a short-read
+/// error.
+IoStatus ReadScatter(const std::filesystem::path& path,
                      std::span<const Seg> segs, const FaultSites& sites = {},
                      const std::function<void(std::size_t)>& on_segment = {});
 
 /// One file of a durable group: its final path and its content as a
 /// seg list (file length = max(offset+len); uncovered ranges are
-/// zero). Zero-copy from the caller's (registered) buffers.
+/// zero), written straight from the caller's buffers.
 struct DurableFile {
   std::filesystem::path path;
   std::span<const Seg> segs;
@@ -185,7 +131,7 @@ struct DurableFile {
 /// (empty where nothing was replaced): the next group's spares. On
 /// failure *spares is empty and every spare, temp and replaced file is
 /// unlinked, files published before a failed step 3 staying in place.
-IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
+IoStatus WriteFilesDurable(std::span<const DurableFile> files,
                            const FaultSites& sites = {},
                            bool sync_parent = true,
                            std::size_t* failed = nullptr,
@@ -194,15 +140,14 @@ IoStatus WriteFilesDurable(Transfer& xfer, std::span<const DurableFile> files,
 
 /// Durable whole-file write: WriteFilesDurable of this one file. On any
 /// failure the temp file is removed and `path` is untouched.
-IoStatus WriteFileDurable(Transfer& xfer, const std::filesystem::path& path,
+IoStatus WriteFileDurable(const std::filesystem::path& path,
                           std::span<const std::byte> data,
                           const FaultSites& sites = {},
                           bool sync_parent = true);
 
 /// Durable gather-write: WriteFilesDurable of one file whose content
 /// is the seg list.
-IoStatus WriteGatherDurable(Transfer& xfer,
-                            const std::filesystem::path& path,
+IoStatus WriteGatherDurable(const std::filesystem::path& path,
                             std::span<const Seg> segs,
                             const FaultSites& sites = {},
                             bool sync_parent = true);
@@ -211,5 +156,30 @@ IoStatus WriteGatherDurable(Transfer& xfer,
 /// created, so a new directory's entry survives a crash. A directory
 /// that already exists costs no fsync.
 IoStatus CreateDirectoriesDurable(const std::filesystem::path& dir);
+
+// ---------------------------------------------------------------------------
+// Compatibility block, kept only for dialga_bench/, which a library
+// change does not edit: the benchmark records the backend's name and
+// calls the durable write and the exact read through a Transfer. There
+// is one backend, so these names select nothing. No other code may use
+// them; they go once the benchmark stops calling them (ROADMAP item 1).
+enum class Mode { kStdio };
+enum class Backend { kStdio };
+inline Mode ModeFromEnv() { return Mode::kStdio; }
+inline Backend SelectBackend(Mode) { return Backend::kStdio; }
+inline const char* BackendName(Backend) { return "stdio"; }
+class Transfer {
+ public:
+  explicit Transfer(Backend) {}
+};
+inline IoStatus WriteFileDurable(Transfer&, const std::filesystem::path& path,
+                                 std::span<const std::byte> data) {
+  return WriteFileDurable(path, data);
+}
+inline IoStatus ReadFileExact(Transfer&, const std::filesystem::path& path,
+                              std::span<std::byte> dst) {
+  return ReadFileExact(path, dst);
+}
+// End of the compatibility block.
 
 }  // namespace aio

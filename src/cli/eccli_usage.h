@@ -97,11 +97,6 @@ inline constexpr char kUsageText[] =
     "unsupported\n"
     "                    levels clamp to the best available with a "
     "warning)\n"
-    "  --aio MODE        file-I/O backend: uring, stdio, or auto "
-    "(default; also\n"
-    "                    read from DIALGA_AIO; a forced uring on a "
-    "kernel without\n"
-    "                    io_uring falls back to stdio with a warning)\n"
     "cluster mode:\n"
     "  --cluster-nodes N run the command against an in-process "
     "cluster of N\n"

@@ -71,7 +71,7 @@ const char* to_string(OpResult::Code c) {
 }
 
 Coordinator::Coordinator(CoordinatorConfig cfg, Placement* placement,
-                         Transport* transport)
+                         LoopbackTransport* transport)
     : cfg_(std::move(cfg)),
       placement_(placement),
       transport_(transport),

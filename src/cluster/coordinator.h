@@ -105,7 +105,7 @@ class Coordinator {
  public:
   /// `placement` and `transport` must outlive the coordinator.
   Coordinator(CoordinatorConfig cfg, Placement* placement,
-              Transport* transport);
+              LoopbackTransport* transport);
 
   const Geometry& geom() const { return cfg_.geom; }
 
@@ -199,7 +199,7 @@ class Coordinator {
 
   CoordinatorConfig cfg_;
   Placement* placement_;
-  Transport* transport_;
+  LoopbackTransport* transport_;
   TokenBucket scrub_bucket_;
   TokenBucket rebuild_bucket_;
 

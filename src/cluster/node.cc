@@ -114,8 +114,7 @@ bool Node::PersistChunk(std::uint64_t stripe, std::uint32_t shard,
   std::vector<std::byte> out = c.bytes;
   PutTrailerU64(&out, c.sum);
   PutTrailerU64(&out, kChunkMagic);
-  aio::Transfer xfer(aio::SelectBackend(aio::ModeFromEnv()));
-  return aio::WriteFileDurable(xfer, ChunkPath(stripe, shard), out).ok();
+  return aio::WriteFileDurable(ChunkPath(stripe, shard), out).ok();
 }
 
 bool Node::PutChunk(std::uint64_t stripe, std::uint32_t shard,

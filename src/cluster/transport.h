@@ -1,19 +1,15 @@
-// Pluggable message transport for the cluster tier.
+// The cluster tier's message transport: in-process, deterministic, and
+// fault-injectable.
 //
-// Transport::call is a synchronous RPC: the request frame is
+// LoopbackTransport::call is a synchronous RPC: the request frame is
 // serialized, delivered to the destination node, and the response
-// frame comes back — or an errno explains why not. The coordinator and
-// nodes are written against this interface only, so a network
-// transport would slot in without caller changes.
-//
-// LoopbackTransport is the implementation: in-process, deterministic,
-// and fault-injectable. Every call runs through the real wire codec
-// (serialize -> parse on both legs, so the RPC paths exercise the exact
-// byte format a socket would carry), consults the cluster.send /
-// cluster.recv fault sites (per-node spellings n<id>.cluster.send /
-// n<id>.cluster.recv first), and honors kill/partition state for chaos
-// schedules. Calls execute on the caller's thread, so a seeded schedule
-// replays exactly.
+// frame comes back — or an errno explains why not. Every call runs
+// through the real wire codec (serialize -> parse on both legs, so the
+// RPC paths exercise the exact byte format the frames define),
+// consults the cluster.send / cluster.recv fault sites (per-node
+// spellings n<id>.cluster.send / n<id>.cluster.recv first), and honors
+// kill/partition state for chaos schedules. Calls execute on the
+// caller's thread, so a seeded schedule replays exactly.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +17,6 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,22 +25,7 @@
 
 namespace cluster {
 
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  /// Deliver `req` from `from` (kClientId for the coordinator) to node
-  /// `to` and fill `*resp` with the node's reply. Returns 0 on
-  /// success, an errno on delivery failure (EHOSTUNREACH for dead or
-  /// partitioned destinations, EBADMSG for frames the receiver could
-  /// not parse, injected errnos from the fault sites).
-  virtual int call(NodeId from, NodeId to, const Frame& req,
-                   Frame* resp) = 0;
-
-  virtual std::string name() const = 0;
-};
-
-class LoopbackTransport : public Transport {
+class LoopbackTransport {
  public:
   /// A node's RPC entry point. It receives the request decoded from the
   /// wire bytes of this one call and owns it: it may move payloads out
@@ -69,8 +49,12 @@ class LoopbackTransport : public Transport {
   void block_link(NodeId a, NodeId b);
   void heal();  ///< clear every partition (down markers stay)
 
-  int call(NodeId from, NodeId to, const Frame& req, Frame* resp) override;
-  std::string name() const override { return "loopback"; }
+  /// Deliver `req` from `from` (kClientId for the coordinator) to node
+  /// `to` and fill `*resp` with the node's reply. Returns 0 on
+  /// success, an errno on delivery failure (EHOSTUNREACH for dead or
+  /// partitioned destinations, EBADMSG for frames the receiver could
+  /// not parse, injected errnos from the fault sites).
+  int call(NodeId from, NodeId to, const Frame& req, Frame* resp);
 
  private:
   bool blocked(NodeId a, NodeId b) const;

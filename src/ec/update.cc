@@ -3,12 +3,28 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gf/gf_simd.h"
 #include "simmem/config.h"
 
 namespace ec {
+
+namespace {
+
+/// Throws std::out_of_range unless [offset, offset + len) lies inside a
+/// block of `block_size` bytes (written so the sum cannot wrap).
+void CheckRange(std::size_t block_size, std::size_t offset, std::size_t len) {
+  if (offset > block_size || len > block_size - offset) {
+    throw std::out_of_range("update range [" + std::to_string(offset) + ", +" +
+                            std::to_string(len) + ") exceeds block size " +
+                            std::to_string(block_size));
+  }
+}
+
+}  // namespace
 
 UpdateEngine::UpdateEngine(gf::Matrix gen, std::size_t k, std::size_t m,
                            SimdWidth simd)
@@ -27,9 +43,17 @@ void UpdateEngine::apply(std::size_t block_size, std::size_t block_index,
                          std::span<const std::byte> new_bytes,
                          std::byte* data,
                          std::span<std::byte* const> parity) const {
-  assert(block_index < k_);
-  assert(offset + new_bytes.size() <= block_size);
-  assert(parity.size() == m_);
+  if (block_index >= k_) {
+    throw std::out_of_range("update block index " +
+                            std::to_string(block_index) + " >= k " +
+                            std::to_string(k_));
+  }
+  CheckRange(block_size, offset, new_bytes.size());
+  if (parity.size() != m_) {
+    throw std::invalid_argument("update needs " + std::to_string(m_) +
+                                " parity blocks, got " +
+                                std::to_string(parity.size()));
+  }
   const std::size_t len = new_bytes.size();
 
   // delta = old ^ new, then overwrite the data range.
@@ -54,7 +78,7 @@ EncodePlan UpdateEngine::update_plan(std::size_t block_size,
                                      std::size_t offset, std::size_t len,
                                      const simmem::ComputeCost& cost,
                                      const IsalPlanOptions& opts) const {
-  assert(offset + len <= block_size);
+  CheckRange(block_size, offset, len);
   // Widen to cacheline granularity: RMW always moves whole lines.
   const std::size_t first_line =
       offset / simmem::kCacheLineBytes * simmem::kCacheLineBytes;

@@ -39,6 +39,9 @@ class UpdateEngine {
   /// Overwrite `new_bytes` at `offset` of data block `block_index`,
   /// updating all parities in place via the delta property. `data`
   /// points at the current (old) block contents and is overwritten.
+  /// Throws std::out_of_range when block_index >= k or the range does
+  /// not fit in the block, and std::invalid_argument when `parity` does
+  /// not hold m blocks; either leaves data and parity untouched.
   void apply(std::size_t block_size, std::size_t block_index,
              std::size_t offset, std::span<const std::byte> new_bytes,
              std::byte* data, std::span<std::byte* const> parity) const;
@@ -48,6 +51,7 @@ class UpdateEngine {
   /// slot 0 = the data block, slots 1..m = parity blocks; all slots are
   /// RMW'd over the touched lines, ending with a persistence fence.
   /// `opts` carries DIALGA's prefetch scheduling into the update path.
+  /// Throws std::out_of_range when the range does not fit in the block.
   EncodePlan update_plan(std::size_t block_size, std::size_t offset,
                          std::size_t len, const simmem::ComputeCost& cost,
                          const IsalPlanOptions& opts = {}) const;

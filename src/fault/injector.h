@@ -1,5 +1,5 @@
 // Deterministic fault injection for robustness testing: named sites in
-// the shard/aio/service/cluster layers ask a process-wide Injector
+// the shard/service/cluster layers ask a process-wide Injector
 // whether this operation should fail, and plans installed per site
 // decide — by every-nth counter, an explicit list of operation
 // numbers, or a seeded pseudo-random probability. All three are
@@ -15,12 +15,9 @@
 //
 // Site catalog (see docs/fault_injection.md):
 //   shard.open        shard/manifest file open fails (errno)
-//   shard.read        a segment pread fails after the open (errno);
-//                     fires on both datapath backends
+//   shard.read        a segment pread fails after the open (errno)
 //   shard.short_read  read stops short of the expected bytes
 //   shard.write       durable shard/manifest write fails (errno)
-//   aio.submit        io_uring_enter submission fails (uring only)
-//   aio.cqe           a ring completion is rewritten to the errno
 //   svc.admission     service admission reports the queue full
 //   svc.codec         codec batch execution throws InjectedFault
 //   cluster.send      a cluster RPC fails on the sender side
@@ -32,7 +29,6 @@
 // exercised. Distinct site names keep errno op-numbering untouched:
 //   shard.read.corrupt   shard payload bytes mutated after a full read
 //   cluster.recv.corrupt serialized RPC response bytes mutated pre-decode
-//   aio.cqe.corrupt      a uring read completion's buffer is mutated
 //
 // Per-node site prefixes: cluster call sites consult FireErrnoAt(node,
 // site), which checks the node-scoped site "n<id>.<site>" first and

@@ -15,7 +15,7 @@ Arena::Arena(std::size_t alignment) : alignment_(alignment) {}
 std::size_t Arena::padded(std::size_t n) const {
   // aligned_alloc wants the size to be a multiple of the alignment;
   // a zero-length request still gets one alignment unit so the span
-  // points at real (registrable) memory.
+  // points at real memory.
   return ((n == 0 ? 1 : n) + alignment_ - 1) / alignment_ * alignment_;
 }
 
@@ -25,15 +25,15 @@ std::span<std::byte> Arena::allocate(std::size_t n) {
   if (p == nullptr) throw std::bad_alloc();
   std::memset(p, 0, size);
   slabs_.emplace_back(p);
-  iovecs_.push_back({p, size});
+  sizes_.push_back(size);
   return {p, n};
 }
 
 bool Arena::holds(std::size_t count, std::size_t n) const {
   const std::size_t size = padded(n);
   return slabs_.size() == count &&
-         std::all_of(iovecs_.begin(), iovecs_.end(),
-                     [&](const iovec& v) { return v.iov_len == size; });
+         std::all_of(sizes_.begin(), sizes_.end(),
+                     [&](std::size_t s) { return s == size; });
 }
 
 std::vector<std::span<std::byte>> Arena::recycle(std::size_t n) {

@@ -1,18 +1,15 @@
 // pmpool::Arena — page-aligned, zero-initialized buffer arena backing
-// the shard datapath's stripe buffers. Page alignment is what lets the
-// io_uring backend pin the slabs as registered buffers (zero-copy
-// READ_FIXED/WRITE_FIXED straight into the encode kernels' working
-// set), and what a real PM-backed pool would hand out anyway (PM maps
-// are page-granular). The arena owns every slab until it is destroyed,
-// so spans handed to in-flight I/O stay valid for the whole
-// operation. recycle() hands the same slabs out again as they are, so
-// a caller that keeps its arena between operations maps and faults its
-// pages once, and writes or zeroes every byte it uses.
+// the shard datapath's stripe buffers: the file reads land in them and
+// the encode kernels work on them in place. Page alignment is what a
+// real PM-backed pool would hand out (PM maps are page-granular). The
+// arena owns every slab until it is destroyed, so spans handed to a
+// file operation stay valid for the whole operation. recycle() hands
+// the same slabs out again as they are, so a caller that keeps its
+// arena between operations maps and faults its pages once, and writes
+// or zeroes every byte it uses.
 //
 // Not thread-safe: one file-level operation at a time.
 #pragma once
-
-#include <sys/uio.h>
 
 #include <cstddef>
 #include <memory>
@@ -23,8 +20,7 @@ namespace pmpool {
 
 class Arena {
  public:
-  /// `alignment` must be a power of two; the default is the page size
-  /// every io_uring buffer-registration path accepts.
+  /// `alignment` must be a power of two; the default is the page size.
   explicit Arena(std::size_t alignment = 4096);
 
   Arena(const Arena&) = delete;
@@ -44,10 +40,6 @@ class Arena {
   /// must be the size allocate(n) makes (holds() checks it).
   std::vector<std::span<std::byte>> recycle(std::size_t n);
 
-  /// One iovec per slab, in allocation order — the list handed to
-  /// Ring::register_buffers. Slab i's buffer index is i.
-  const std::vector<iovec>& iovecs() const { return iovecs_; }
-
  private:
   struct FreeDeleter {
     void operator()(std::byte* p) const;
@@ -59,7 +51,7 @@ class Arena {
 
   std::size_t alignment_;
   std::vector<std::unique_ptr<std::byte[], FreeDeleter>> slabs_;
-  std::vector<iovec> iovecs_;
+  std::vector<std::size_t> sizes_;  ///< padded bytes of each slab
 };
 
 }  // namespace pmpool

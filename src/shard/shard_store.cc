@@ -207,13 +207,32 @@ fs::path ShardPath(const fs::path& dir, std::size_t index) {
   return dir / name;
 }
 
-/// The shard store's fault-site names, handed to the datapath so the
-/// same chaos schedules exercise both backends (aio/datapath.h). The
-/// corruption site fires once per successful whole-shard read
-/// (ReadFileExact), identically on stdio and uring.
+/// The shard store's fault-site names, handed to the datapath
+/// (aio/datapath.h). The corruption site fires once per successful
+/// whole-shard read (ReadFileExact).
 constexpr aio::FaultSites kShardSites{
     "shard.open", "shard.read", "shard.short_read", "shard.write",
     "shard.read.corrupt"};
+
+/// Write each rebuilt shard of `rebuilt` back through the durable
+/// protocol when its bytes match the manifest checksum; a mismatch is
+/// refused and a failed write leaves the old shard (temp→rename).
+/// Returns the shards written.
+std::vector<std::size_t> WriteBackRebuilt(
+    const fs::path& dir, const Manifest& mf,
+    const std::vector<std::span<std::byte>>& shards,
+    const std::vector<std::size_t>& rebuilt) {
+  std::vector<std::size_t> written;
+  for (const std::size_t s : rebuilt) {
+    const bool ok =
+        integrity::Crc32c(shards[s].data(), shards[s].size()) ==
+            mf.shard_checksums[s] &&
+        aio::WriteFileDurable(ShardPath(dir, s), shards[s], kShardSites).ok();
+    integrity::Metrics::Get().heal(integrity::Layer::kShard, ok);
+    if (ok) written.push_back(s);
+  }
+  return written;
+}
 
 /// Run `op`, retrying transient errnos (EINTR/EAGAIN) with the
 /// policy's jittered backoff — but never sleeping past the policy
@@ -274,8 +293,8 @@ ShardStore::~ShardStore() { UnlinkSpares(spare_files_); }
 /// (Arena::recycle hands them out holding the last call's bytes, so a
 /// caller writes or zeroes every byte it uses) and allocates a fresh,
 /// zeroed set otherwise. The set becomes the store's spare when the
-/// call ends. Declare it before the call's Transfer, whose ring pins
-/// the slabs, and before any future that still writes into them.
+/// call ends. Declare it before any future that still writes into the
+/// slabs.
 class ShardStore::Buffers {
  public:
   Buffers(const ShardStore& store, std::size_t count, std::size_t bytes)
@@ -300,8 +319,6 @@ class ShardStore::Buffers {
   }
   Buffers(const Buffers&) = delete;
   Buffers& operator=(const Buffers&) = delete;
-
-  const std::vector<iovec>& iovecs() const { return arena_->iovecs(); }
 
   std::vector<std::span<std::byte>> shards;
 
@@ -566,13 +583,11 @@ Status ShardStore::encode_file(const fs::path& input,
   const std::size_t stripes = mf.stripes();  // >= 1: empty files clamp
   const std::size_t shard_bytes = stripes * block_size_;
 
-  // Shard s holds: for every stripe r, block s of that stripe. The
-  // slabs are page-aligned and (on the uring backend) pinned as
-  // registered buffers — input blocks scatter-read straight into shard
-  // layout, with no whole-file staging copy.
+  // Shard s holds: for every stripe r, block s of that stripe. Input
+  // blocks scatter-read straight into shard layout, with no whole-file
+  // staging copy.
   Buffers bufs(*this, k + m, shard_bytes);
   const std::vector<std::span<std::byte>>& shards = bufs.shards;
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
 
   // Scatter plan: block (r, i) of the input lands at stripe offset r
   // of data shard i. What no input byte covers — the tail of a partial
@@ -600,9 +615,9 @@ Status ShardStore::encode_file(const fs::path& input,
   }
 
   // Overlap I/O and compute: a stripe whose blocks are all resident
-  // dispatches to the service while the remaining reads are still in
-  // flight. (Serial encoding stays after the read: it would otherwise
-  // stall the ring.)
+  // dispatches to the service while the remaining blocks are still
+  // being read. (Serial encoding stays after the read: it would
+  // otherwise stall the reads.)
   std::vector<std::future<svc::Result>> futures(stripes);
   auto dispatch = [&](std::size_t r) {
     if (service_ == nullptr) return;
@@ -613,7 +628,7 @@ Status ShardStore::encode_file(const fs::path& input,
     if (blocks_left[r] == 0) dispatch(r);  // all-padding stripe (empty file)
   }
   const auto read_st = aio::ReadScatter(
-      xfer, input, segs, kShardSites, [&](std::size_t si) {
+      input, segs, kShardSites, [&](std::size_t si) {
         if (--blocks_left[seg_stripe[si]] == 0) dispatch(seg_stripe[si]);
       });
   if (!read_st.ok()) {
@@ -653,15 +668,15 @@ Status ShardStore::encode_file(const fs::path& input,
   SpareFiles spares(*this, dir);
   std::size_t failed = 0;
   if (const auto st =
-          aio::WriteFilesDurable(xfer, files, kShardSites,
-                                 /*sync_parent=*/false, &failed, spares.list());
+          aio::WriteFilesDurable(files, kShardSites, /*sync_parent=*/false,
+                                 &failed, spares.list());
       !st.ok()) {
     return Status::Io(st.err, files[failed].path,
                       st.detail.empty() ? "cannot write shard" : st.detail);
   }
   const std::string text = mf.serialize();
   const auto st = aio::WriteFileDurable(
-      xfer, dir / "manifest.txt",
+      dir / "manifest.txt",
       std::span<const std::byte>(
           reinterpret_cast<const std::byte*>(text.data()), text.size()),
       kShardSites, /*sync_parent=*/true);
@@ -681,8 +696,7 @@ std::optional<Manifest> ShardStore::load_manifest(const fs::path& dir) const {
       std::string(reinterpret_cast<const char*>(raw.data()), raw.size()));
 }
 
-void ShardStore::load_shards(aio::Transfer& xfer, const fs::path& dir,
-                             const Manifest& mf,
+void ShardStore::load_shards(const fs::path& dir, const Manifest& mf,
                              const std::vector<std::span<std::byte>>& shards,
                              std::vector<std::size_t>* damaged,
                              std::vector<ShardState>* states) const {
@@ -694,8 +708,7 @@ void ShardStore::load_shards(aio::Transfer& xfer, const fs::path& dir,
     // parity". ReadFileExact reports a size mismatch as an explicit
     // error, so a truncated shard can never masquerade as intact.
     const aio::IoStatus st = RetryTransient(policy_, [&] {
-      return aio::ReadFileExact(xfer, ShardPath(dir, s), shards[s],
-                                kShardSites);
+      return aio::ReadFileExact(ShardPath(dir, s), shards[s], kShardSites);
     });
     ShardState state = ShardState::kIntact;
     if (!st.ok()) {
@@ -721,9 +734,8 @@ std::vector<std::size_t> ShardStore::verify(const fs::path& dir) const {
   if (!mf) return {SIZE_MAX};  // unusable directory
   Buffers bufs(*this, mf->k + mf->m, mf->shard_bytes());
   const std::vector<std::span<std::byte>>& shards = bufs.shards;
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
   std::vector<std::size_t> damaged;
-  load_shards(xfer, dir, *mf, shards, &damaged);
+  load_shards(dir, *mf, shards, &damaged);
   return damaged;
 }
 
@@ -734,8 +746,7 @@ VerifyReport ShardStore::verify_detailed(const fs::path& dir) const {
   report.manifest_ok = true;
   Buffers bufs(*this, mf->k + mf->m, mf->shard_bytes());
   const std::vector<std::span<std::byte>>& shards = bufs.shards;
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
-  load_shards(xfer, dir, *mf, shards, &report.damaged, &report.states);
+  load_shards(dir, *mf, shards, &report.damaged, &report.states);
   for (std::size_t s = 0; s < report.states.size(); ++s) {
     if (report.states[s] == ShardState::kCorrupt) report.corrupt.push_back(s);
   }
@@ -748,9 +759,8 @@ RepairReport ShardStore::repair(const fs::path& dir) const {
   if (!mf) return report;
   Buffers bufs(*this, mf->k + mf->m, mf->shard_bytes());
   const std::vector<std::span<std::byte>>& shards = bufs.shards;
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
   std::vector<ShardState> states;
-  load_shards(xfer, dir, *mf, shards, &report.damaged, &states);
+  load_shards(dir, *mf, shards, &report.damaged, &states);
   for (std::size_t s = 0; s < states.size(); ++s) {
     if (states[s] == ShardState::kCorrupt) report.corrupt.push_back(s);
   }
@@ -759,20 +769,7 @@ RepairReport ShardStore::repair(const fs::path& dir) const {
 
   report.status = decode_stripes(*mf, shards, report.damaged);
   if (!report.status.ok()) return report;
-  for (const std::size_t s : report.damaged) {
-    if (integrity::Crc32c(shards[s].data(), shards[s].size()) !=
-        mf->shard_checksums[s]) {
-      integrity::Metrics::Get().heal(integrity::Layer::kShard, false);
-      continue;  // rebuilt bytes do not match the manifest: refuse
-    }
-    if (aio::WriteFileDurable(xfer, ShardPath(dir, s), shards[s], kShardSites)
-            .ok()) {
-      report.repaired.push_back(s);
-      integrity::Metrics::Get().heal(integrity::Layer::kShard, true);
-    } else {
-      integrity::Metrics::Get().heal(integrity::Layer::kShard, false);
-    }
-  }
+  report.repaired = WriteBackRebuilt(dir, *mf, shards, report.damaged);
   return report;
 }
 
@@ -793,9 +790,8 @@ Status ShardStore::decode_file(const fs::path& dir,
   }
   Buffers bufs(*this, mf->k + mf->m, mf->shard_bytes());
   const std::vector<std::span<std::byte>>& shards = bufs.shards;
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), bufs.iovecs());
   std::vector<std::size_t> damaged;
-  load_shards(xfer, dir, *mf, shards, &damaged);
+  load_shards(dir, *mf, shards, &damaged);
   if (damaged.size() > mf->m) {
     return Status::Damaged(
         dir, std::to_string(damaged.size()) + " shards lost, parity covers " +
@@ -809,30 +805,15 @@ Status ShardStore::decode_file(const fs::path& dir,
       if (st.path.empty()) st.path = dir;
       return st;
     }
-    if (read_repair_) {
-      // Read-repair: the reconstruction already paid for the healed
-      // bytes, so write them back through the durable protocol and the
-      // next read starts clean. Only checksum-confirmed rebuilds land;
-      // a write failure leaves the old shard (temp→rename), so heal is
-      // strictly best-effort and never fails the decode.
-      for (const std::size_t s : damaged) {
-        if (integrity::Crc32c(shards[s].data(), shards[s].size()) !=
-            mf->shard_checksums[s]) {
-          integrity::Metrics::Get().heal(integrity::Layer::kShard, false);
-          continue;
-        }
-        const bool wrote =
-            aio::WriteFileDurable(xfer, ShardPath(dir, s), shards[s],
-                                  kShardSites)
-                .ok();
-        integrity::Metrics::Get().heal(integrity::Layer::kShard, wrote);
-      }
-    }
+    // Read-repair: the reconstruction already paid for the healed
+    // bytes, so write them back and the next read starts clean. Heal is
+    // strictly best-effort and never fails the decode.
+    WriteBackRebuilt(dir, *mf, shards, damaged);
   }
 
-  // Gather-write the output straight from the (registered) shard
-  // buffers — the inverse of the encode scatter, with no intermediate
-  // assembly copy. Durable like every other write on this path.
+  // Gather-write the output straight from the shard buffers — the
+  // inverse of the encode scatter, with no intermediate assembly copy.
+  // Durable like every other write on this path.
   std::vector<aio::Seg> segs;
   const std::size_t stripes = mf->stripes();
   std::uint64_t written = 0;
@@ -844,7 +825,7 @@ Status ShardStore::decode_file(const fs::path& dir,
       written += n;
     }
   }
-  const auto st = aio::WriteGatherDurable(xfer, output, segs, kShardSites);
+  const auto st = aio::WriteGatherDurable(output, segs, kShardSites);
   if (!st.ok()) {
     return Status::Io(st.err, output,
                       st.detail.empty() ? "cannot write output" : st.detail);

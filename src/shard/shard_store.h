@@ -59,7 +59,6 @@
 #include <string>
 #include <vector>
 
-#include "aio/datapath.h"
 #include "ec/codec.h"
 #include "svc/retry.h"
 
@@ -190,14 +189,6 @@ class ShardStore {
   void set_service_policy(const ServicePolicy& policy) { policy_ = policy; }
   const ServicePolicy& service_policy() const { return policy_; }
 
-  /// Which file-I/O backend moves shard bytes (aio/datapath.h):
-  /// kUring drives the io_uring ring with registered arena buffers,
-  /// kStdio uses plain pread/pwrite, kAuto (the default, also read
-  /// from DIALGA_AIO at construction) probes the kernel and falls back
-  /// to stdio when io_uring is unavailable.
-  void set_aio_mode(aio::Mode mode) { aio_mode_ = mode; }
-  aio::Mode aio_mode() const { return aio_mode_; }
-
   /// Verify-on-read: every load checks shard checksums against the
   /// manifest and treats mismatches as damage (the default). Turning
   /// it off skips the checksum pass — the `bench_svc_throughput
@@ -205,12 +196,6 @@ class ShardStore {
   /// should leave it on.
   void set_verify_on_read(bool on) { verify_on_read_ = on; }
   bool verify_on_read() const { return verify_on_read_; }
-
-  /// Read-repair: decode_file rewrites shards it had to reconstruct
-  /// (durably, temp→fsync→rename) when the rebuilt bytes match the
-  /// manifest checksum, so a read heals the generation in place.
-  void set_read_repair(bool on) { read_repair_ = on; }
-  bool read_repair() const { return read_repair_; }
 
   /// Encode `input` into `dir` (created if needed, with every level
   /// it creates fsynced into its parent). kIoError with errno + path
@@ -234,8 +219,11 @@ class ShardStore {
   RepairReport repair(const std::filesystem::path& dir) const;
 
   /// Reassemble the original file from the (data) shards. Repairs
-  /// damaged shards in memory if needed. kDamaged when the loss
-  /// exceeds parity; kIoError on filesystem failure.
+  /// damaged shards in memory if needed, and read-repairs them: a
+  /// rebuilt shard whose bytes match the manifest checksum is written
+  /// back (durably, temp→fsync→rename), so a read heals the generation
+  /// in place. kDamaged when the loss exceeds parity; kIoError on
+  /// filesystem failure.
   Status decode_file(const std::filesystem::path& dir,
                      const std::filesystem::path& output) const;
 
@@ -251,8 +239,7 @@ class ShardStore {
   /// Read every shard into its preallocated span; unreadable or
   /// checksum-failing shards are zero-filled and flagged in `damaged`.
   /// `states` (optional) records each shard's ShardState.
-  void load_shards(aio::Transfer& xfer, const std::filesystem::path& dir,
-                   const Manifest& mf,
+  void load_shards(const std::filesystem::path& dir, const Manifest& mf,
                    const std::vector<std::span<std::byte>>& shards,
                    std::vector<std::size_t>* damaged,
                    std::vector<ShardState>* states = nullptr) const;
@@ -285,9 +272,7 @@ class ShardStore {
   std::size_t block_size_;
   svc::StripeService* service_ = nullptr;
   ServicePolicy policy_;
-  aio::Mode aio_mode_ = aio::ModeFromEnv();
   bool verify_on_read_ = true;
-  bool read_repair_ = true;
   /// The shard buffers of the last finished file call, or null.
   mutable std::mutex spare_mu_;
   mutable std::unique_ptr<pmpool::Arena> spare_;

@@ -291,7 +291,6 @@ TEST_F(ChaosShardTest, CrashConsistentEncodeNeverTearsTheManifest) {
     {
       ChaosSchedule sched(seed);
       sched.site("shard.write", 0.30);
-      sched.site("aio.submit", 0.20);  // consulted on the uring backend
       const shard::Status st = store.encode_file(in2, shards);
       if (!st.ok()) {
         EXPECT_TRUE(st.kind == shard::Status::Kind::kIoError ||

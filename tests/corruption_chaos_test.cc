@@ -279,26 +279,6 @@ TEST_F(CorruptShardDecode, ReadRepairHealsTheGenerationInPlace) {
   EXPECT_TRUE(store.verify(dir_).empty());
 }
 
-TEST_F(CorruptShardDecode, BitIdenticalAcrossAioBackends) {
-  const dialga::DialgaCodec codec(4, 2);
-  shard::ShardStore store(codec, 256);
-  ASSERT_TRUE(store.encode_file(dir_ / "input.bin", dir_).ok());
-  CorruptShardFile(3);
-
-  shard::ShardStore stdio_store(codec, 256);
-  stdio_store.set_aio_mode(aio::Mode::kStdio);
-  stdio_store.set_read_repair(false);  // keep the corruption in place
-  ASSERT_TRUE(stdio_store.decode_file(dir_, dir_ / "out_stdio.bin").ok());
-
-  shard::ShardStore auto_store(codec, 256);
-  auto_store.set_aio_mode(aio::Mode::kAuto);  // uring when available
-  ASSERT_TRUE(auto_store.decode_file(dir_, dir_ / "out_auto.bin").ok());
-
-  EXPECT_EQ(ReadFileBytes(dir_ / "out_stdio.bin"), payload_);
-  EXPECT_EQ(ReadFileBytes(dir_ / "out_stdio.bin"),
-            ReadFileBytes(dir_ / "out_auto.bin"));
-}
-
 // --- The seeded chaos matrix ----------------------------------------------
 
 TEST(CorruptionChaosMatrix, ShardReadSiteNeverReturnsCorruptAsClean) {
@@ -438,40 +418,6 @@ TEST(CorruptionChaosMatrix, ClusterReadRepairConvergesCorruptChunks) {
   EXPECT_EQ(r2.code, cluster::OpResult::Code::kOk);
   EXPECT_EQ(std::memcmp(again.data(), data.data() + 256, 256), 0);
   EXPECT_EQ(c.coordinator().quarantined_stripes(), 0u);
-}
-
-TEST(CorruptionChaosMatrix, AioCqeSiteIsCaughtByShardVerify) {
-  InjectorReset reset;
-  for (const std::uint64_t seed : chaos::Seeds()) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const fs::path dir = fs::temp_directory_path() /
-                         ("dialga_chaos_aio_" + std::to_string(seed));
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string payload = MakePayload(5000, seed);
-    WriteFileBytes(dir / "input.bin", payload);
-
-    const dialga::DialgaCodec codec(4, 2);
-    shard::ShardStore store(codec, 256);
-    fault::Injector::Global().clear();
-    ASSERT_TRUE(store.encode_file(dir / "input.bin", dir).ok());
-
-    // aio.cqe.corrupt mutates uring completion buffers; on stdio-only
-    // hosts the site is simply never consulted and the decode is clean
-    // — both outcomes satisfy the invariant (exact bytes or explicit
-    // damage).
-    std::string err;
-    ASSERT_TRUE(fault::Injector::Global().install_spec(
-        "seed=" + std::to_string(seed) +
-            ";aio.cqe.corrupt:every=4,max=2,corrupt=torn,span=64",
-        &err))
-        << err;
-    const auto st = store.decode_file(dir, dir / "out.bin");
-    fault::Injector::Global().clear();
-    ASSERT_TRUE(st.ok()) << st.message();
-    EXPECT_EQ(ReadFileBytes(dir / "out.bin"), payload);
-    fs::remove_all(dir);
-  }
 }
 
 }  // namespace

@@ -111,7 +111,8 @@ TEST(EccliHelp, DocsUsageTableCoversEveryExitCode) {
 // k + m <= 256 and a block of 1 B to 1 GiB. Each value below exits 2
 // and creates no shard directory; a lenient parse would abort on an
 // uncaught exception, crash, run another value, or write a generation
-// the tool's own decode rejects.
+// the tool's own decode rejects. `--aio` is not a flag: the file
+// datapath has one backend, so there is nothing to select.
 TEST(EccliArgs, MalformedOrOutOfRangeValuesAreUsageErrors) {
   const fs::path dir = fs::temp_directory_path() /
                        ("dialga_eccli_args_" + std::to_string(::getpid()));
@@ -125,7 +126,7 @@ TEST(EccliArgs, MalformedOrOutOfRangeValuesAreUsageErrors) {
        {"--k abc", "--k ''", "--block 99999999999999999999", "--k -1",
         "--k 8x", "--k 300", "--k 0", "--m 0", "--block 0",
         "--k 250 --m 7", "--block 1073741825", "--retries 2x",
-        "--cluster-nodes 6 --m 0"}) {
+        "--cluster-nodes 6 --m 0", "--aio stdio"}) {
     SCOPED_TRACE(flags);
     std::string out;
     EXPECT_EQ(RunEccli(std::string("encode ") + flags + " " + files, &out),

@@ -10,7 +10,6 @@
 #include <string>
 #include <thread>
 
-#include "aio/ring.h"
 #include "dialga/dialga.h"
 #include "ec/isal.h"
 #include "fault/injector.h"
@@ -312,34 +311,12 @@ TEST_F(ShardStoreTest, ManifestParserSurvivesFuzz) {
   }
 }
 
-TEST_F(ShardStoreTest, BackendsEmitBitIdenticalShardsAndNoTempFiles) {
-  const ec::IsalCodec codec(4, 2);
-  const fs::path input = write_input(100000, 8);
-
-  ShardStore stdio_store(codec, 1024);
-  stdio_store.set_aio_mode(aio::Mode::kStdio);
-  ASSERT_TRUE(stdio_store.encode_file(input, dir_ / "stdio"));
-  ASSERT_TRUE(stdio_store.decode_file(dir_ / "stdio", dir_ / "out_s.bin"));
-  EXPECT_EQ(slurp(input), slurp(dir_ / "out_s.bin"));
-
-  if (!aio::Ring::KernelSupported()) {
-    GTEST_SKIP() << "io_uring unavailable: stdio-only run";
-  }
-  ShardStore uring_store(codec, 1024);
-  uring_store.set_aio_mode(aio::Mode::kUring);
-  ASSERT_TRUE(uring_store.encode_file(input, dir_ / "uring"));
-  ASSERT_TRUE(uring_store.decode_file(dir_ / "uring", dir_ / "out_u.bin"));
-  EXPECT_EQ(slurp(input), slurp(dir_ / "out_u.bin"));
-  expect_same_generation(dir_ / "stdio", dir_ / "uring", 4 + 2 + 1);
-}
-
-// The service-attached file datapath, which eccli runs by default: the
-// stdio and uring backends write the serial store's generation byte
-// for byte; the service completes every stripe (the scatter read
-// dispatches each one as its blocks land) with no serial fallback; and
-// healthy and one-data-shard-lost decodes are bit-exact on each
-// backend.
-TEST_F(ShardStoreTest, ServiceAttachedBackendsMatchTheSerialStore) {
+// The service-attached file datapath, which eccli runs by default,
+// writes the serial store's generation byte for byte; the service
+// completes every stripe (the scatter read dispatches each one as its
+// blocks land) with no serial fallback; and healthy and
+// one-data-shard-lost decodes are bit-exact.
+TEST_F(ShardStoreTest, ServiceAttachedStoreMatchesTheSerialStore) {
   constexpr std::size_t k = 8, m = 3, bs = 64 * 1024;
   constexpr std::size_t stripes = 9;  // 8 full + a partial tail
   const ec::IsalCodec codec(k, m);
@@ -348,33 +325,24 @@ TEST_F(ShardStoreTest, ServiceAttachedBackendsMatchTheSerialStore) {
   ASSERT_TRUE(ShardStore(codec, bs).encode_file(input, dir_ / "serial"));
 
   svc::StripeService service;
-  auto run = [&](aio::Mode mode, const std::string& name) {
-    SCOPED_TRACE(name);
-    ShardStore store(codec, bs);
-    store.use_service(&service);
-    store.set_aio_mode(mode);
-    const fs::path shards = dir_ / name;
-    const std::uint64_t fallbacks = CounterValue(kSerialFallbacks);
+  ShardStore store(codec, bs);
+  store.use_service(&service);
+  const fs::path shards = dir_ / "service";
+  const std::uint64_t fallbacks = CounterValue(kSerialFallbacks);
 
-    std::uint64_t completed = service.stats().completed_ok;
-    ASSERT_TRUE(store.encode_file(input, shards));
-    EXPECT_EQ(service.stats().completed_ok - completed, stripes);
-    expect_same_generation(dir_ / "serial", shards, k + m + 1);
+  std::uint64_t completed = service.stats().completed_ok;
+  ASSERT_TRUE(store.encode_file(input, shards));
+  EXPECT_EQ(service.stats().completed_ok - completed, stripes);
+  expect_same_generation(dir_ / "serial", shards, k + m + 1);
 
-    ASSERT_TRUE(store.decode_file(shards, dir_ / (name + ".out")));
-    EXPECT_EQ(slurp(dir_ / (name + ".out")), original);
-    fs::remove(shards / "shard_002");
-    completed = service.stats().completed_ok;
-    ASSERT_TRUE(store.decode_file(shards, dir_ / (name + ".degraded")));
-    EXPECT_EQ(slurp(dir_ / (name + ".degraded")), original);
-    EXPECT_EQ(service.stats().completed_ok - completed, stripes);
-    EXPECT_EQ(CounterValue(kSerialFallbacks), fallbacks);
-  };
-  run(aio::Mode::kStdio, "stdio");
-  if (!aio::Ring::KernelSupported()) {
-    GTEST_SKIP() << "io_uring unavailable: stdio half only";
-  }
-  run(aio::Mode::kUring, "uring");
+  ASSERT_TRUE(store.decode_file(shards, dir_ / "out.bin"));
+  EXPECT_EQ(slurp(dir_ / "out.bin"), original);
+  fs::remove(shards / "shard_002");
+  completed = service.stats().completed_ok;
+  ASSERT_TRUE(store.decode_file(shards, dir_ / "degraded.bin"));
+  EXPECT_EQ(slurp(dir_ / "degraded.bin"), original);
+  EXPECT_EQ(service.stats().completed_ok - completed, stripes);
+  EXPECT_EQ(CounterValue(kSerialFallbacks), fallbacks);
 }
 
 // With every admission refused, the default policy runs each rejected

@@ -556,6 +556,12 @@ TEST(StripeServiceTest, StatsSnapshotsStayCoherentUnderConcurrentScrapes) {
       scrapes.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // Producers start once the scraper runs: a loaded host may otherwise
+  // schedule it only after every stripe has completed, and no scrape
+  // would race the producers.
+  while (scrapes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
 
   std::vector<std::thread> producers;
   for (std::size_t t = 0; t < kProducers; ++t) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
+#include <stdexcept>
 
 #include "ec/isal.h"
 
@@ -96,6 +99,46 @@ TEST(UpdateEngine, UpdatedStripeStillDecodes) {
     std::fill(b.storage[e].begin(), b.storage[e].end(), std::byte{0});
   ASSERT_TRUE(codec.decode(bs, all, erasures));
   EXPECT_EQ(b.storage, golden);
+}
+
+// The argument checks are real checks, not asserts an optimized build
+// compiles out: each bad argument throws before any byte of the stripe
+// changes, and a range that ends exactly at the block's end is valid.
+TEST(UpdateEngine, BadArgumentsThrowAndLeaveTheStripeUntouched) {
+  const std::size_t k = 4, m = 2, bs = 256;
+  const IsalCodec codec(k, m);
+  const UpdateEngine engine(codec);
+  Blocks b = MakeBlocks(k, m, bs, 5);
+  codec.encode(bs, b.data_ptrs, b.parity_ptrs);
+  const auto golden = b.storage;
+  const std::vector<std::byte> fresh(16, std::byte{0xA5});
+  const std::vector<std::byte> too_long(bs + 1, std::byte{0xA5});
+  const std::vector<std::byte*> too_few(b.parity_ptrs.begin(),
+                                        b.parity_ptrs.end() - 1);
+  const std::size_t wraps = SIZE_MAX - 4;  // offset + 16 wraps past zero
+  std::byte* data = b.storage[1].data();
+
+  EXPECT_THROW(engine.apply(bs, k, 0, fresh, b.storage[0].data(),
+                            b.parity_ptrs),
+               std::out_of_range);
+  EXPECT_THROW(engine.apply(bs, 1, bs - 8, fresh, data, b.parity_ptrs),
+               std::out_of_range);
+  EXPECT_THROW(engine.apply(bs, 1, bs + 1, {}, data, b.parity_ptrs),
+               std::out_of_range);
+  EXPECT_THROW(engine.apply(bs, 1, 0, too_long, data, b.parity_ptrs),
+               std::out_of_range);
+  EXPECT_THROW(engine.apply(bs, 1, wraps, fresh, data, b.parity_ptrs),
+               std::out_of_range);
+  EXPECT_THROW(engine.apply(bs, 1, 0, fresh, data, too_few),
+               std::invalid_argument);
+  EXPECT_EQ(b.storage, golden);
+
+  const simmem::ComputeCost cost{};
+  EXPECT_THROW(engine.update_plan(bs, bs - 8, 16, cost), std::out_of_range);
+  EXPECT_THROW(engine.update_plan(bs, wraps, 16, cost), std::out_of_range);
+  EXPECT_NO_THROW(engine.update_plan(bs, bs - 16, 16, cost));
+  engine.apply(bs, 1, bs - 16, fresh, data, b.parity_ptrs);
+  EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), data + bs - 16));
 }
 
 TEST(UpdatePlan, RmwTouchedLinesOnly) {

@@ -86,7 +86,6 @@ struct Options {
   std::string metrics_out;
   std::string trace_out;
   std::string isa;
-  aio::Mode aio = aio::ModeFromEnv();
   std::size_t cluster_nodes = 0;  // 0 = single-process shard store
   std::size_t local = 0;          // LRC local parities (cluster mode)
   std::size_t domains = 0;        // failure domains (0 = one per node)
@@ -146,11 +145,6 @@ bool Parse(int argc, char** argv, Options* opt) {
     } else if (arg == "--isa") {
       if (i + 1 >= argc) return false;
       opt->isa = argv[++i];
-    } else if (arg == "--aio") {
-      if (i + 1 >= argc) return false;
-      const auto mode = aio::ParseMode(argv[++i]);
-      if (!mode) return false;
-      opt->aio = *mode;
     } else if (arg == "--cluster-nodes") {
       if (!next_value(&opt->cluster_nodes)) return false;
     } else if (arg == "--local") {
@@ -460,9 +454,7 @@ int RunClusterCommand(const std::string& cmd, const Options& opt) {
     if (!r.ok()) return ClusterExit(r);
   }
   output.resize(mf.file_size);  // strip the zero padding
-  aio::Transfer xfer(aio::SelectBackend(opt.aio));
-  if (const auto st =
-          aio::WriteFileDurable(xfer, opt.positional[1], output);
+  if (const auto st = aio::WriteFileDurable(opt.positional[1], output);
       !st.ok()) {
     std::cerr << "eccli: cannot write '" << opt.positional[1]
               << "': " << std::strerror(st.err) << "\n";
@@ -504,7 +496,6 @@ int RunCommand(const std::string& cmd, const Options& opt) {
   auto attach = [&](shard::ShardStore& store) {
     if (service) store.use_service(&*service);
     store.set_service_policy(policy);
-    store.set_aio_mode(opt.aio);
   };
 
   if (cmd == "encode") {
